@@ -1088,7 +1088,7 @@ def cmd_solve(scenario: str, depth: int | None, max_nodes: int,
 
     ``--engine`` picks the exploration path: ``auto`` (default)
     compiles the hot path when the spec is in the compilable fragment,
-    ``reference`` forces the uncompiled loop (the before side of
+    ``reference`` forces the uncompiled engine (the before side of
     before/after profiles), ``compiled`` demands compilation and
     fails loudly when it is unavailable.  All three produce the same
     digests.
@@ -1503,7 +1503,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", choices=("auto", "reference", "compiled"),
         default="auto",
         help="exploration path: auto-detect (default), force the "
-             "reference loop, or demand the compiled hot path — "
+             "reference engine, or demand the compiled hot path — "
              "digests are identical either way")
     p_solve.add_argument(
         "--strategy",

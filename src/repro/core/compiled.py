@@ -342,7 +342,7 @@ def compile_description(description: Description,
     falls back to the reference path, never to an error:
 
     * the description must be exactly :class:`Description` (subclasses
-      override hooks the compiled loop would bypass);
+      override hooks the compiled engine would bypass);
     * the candidate generator must publish a constant alphabet
       (``constant_events``);
     * both sides must lie in the compilable expression fragment and
@@ -409,7 +409,7 @@ def _probe_agrees(compiled: CompiledDescription) -> bool:
     Cheap (the traces have at most one event) and catches the likely
     failure modes — a wrong ``tuple_face``, an op that secretly
     inspects laziness, a codomain whose values aren't sequences —
-    before the solver commits to the compiled loop.
+    before the solver commits to the compiled engine.
     """
     description = compiled.description
     probes = [(Trace.empty(), compiled.root_env)]

@@ -117,8 +117,8 @@ def _rank_channel_balance(depth, f_lens, g_lens, counts):
 
 
 #: The heuristic registry.  ``depth`` reproduces BFS order exactly
-#: (FIFO tie-break included), which is how the duplicate-state path
-#: serves plain BFS without touching the pinned reference loops.
+#: (FIFO tie-break included): ranked by it, best-first visits the
+#: nodes in the order the breadth-first frontier does.
 HEURISTICS: Dict[str, Heuristic] = {
     "depth": Heuristic("depth", _rank_depth),
     "rhs-distance": Heuristic("rhs-distance", _rank_rhs_distance,

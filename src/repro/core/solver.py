@@ -10,8 +10,12 @@ path from the root witnesses it), so
 * the **infinite smooth solutions** are the lubs of infinite paths whose
   limit condition holds in the limit.
 
-The solver explores this tree breadth-first to a depth bound.  One-step
-extensions are proposed by a *candidate generator* — by default every
+The solver walks this tree to a depth bound in one exploration loop.
+The visit order — breadth-first levels, a ranked best-first heap, or
+iterative deepening — is a frontier policy plugged into that loop, and
+the evaluation engine (reference values or compiled packed traces) is
+an adapter under it; neither changes which nodes exist or how they
+classify.  One-step extensions are proposed by a *candidate generator* — by default every
 ``(channel, message)`` pair from the channels' finite alphabets; for
 channels with infinite alphabets (the naturals on ``d`` in §2.3) the
 caller supplies a generator, typically derived from ``g(u)`` itself
@@ -21,9 +25,11 @@ it, so the elements of ``g(u)`` bound the useful candidates).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.channels.channel import Channel
@@ -254,7 +260,9 @@ def _trace_key(t: Trace) -> list:
 
 
 class SmoothSolutionSolver:
-    """Bounded breadth-first exploration of the §3.3 tree."""
+    """Bounded exploration of the §3.3 tree: one loop, with the visit
+    order (``strategy``) and the evaluation engine (``compiled``)
+    plugged in."""
 
     def __init__(self, description: Description,
                  candidates: CandidateFn,
@@ -368,62 +376,51 @@ class SmoothSolutionSolver:
                 resume_from: Optional[object] = None,
                 _watch: Optional[Callable[[Trace], str]] = None
                 ) -> SolverResult:
-        """Breadth-first exploration to ``max_depth``.
+        """Explore the tree to ``max_depth`` in the configured order.
+
+        Every strategy runs the same loop (:meth:`_walk`); only the
+        frontier policy differs, so completed runs are digest-identical
+        across strategies and engines.
 
         Resource guards keep runaway alphabets and hostile candidate
-        generators from running unbounded: at most ``max_nodes`` nodes
-        are expanded *per call* (so a resumed run gets a fresh
-        budget), and an optional ``budget_seconds`` wall-clock budget
-        caps the search in time.  When a guard fires the partial
-        result is returned with ``truncated=True`` — never-examined
-        nodes are parked on ``result.unvisited`` (not the frontier,
-        whose invariant they were never checked against) — instead of
-        raising; a degraded answer beats no answer for diagnosis.
+        generators bounded: at most ``max_nodes`` nodes are expanded
+        *per call* (a resumed run gets a fresh budget), and an optional
+        ``budget_seconds`` wall-clock budget caps the search in time.
+        When a guard fires the partial result is returned with
+        ``truncated=True`` and the never-examined nodes parked on
+        ``result.unvisited`` (not the frontier, whose invariant they
+        were never checked against) — a degraded answer beats none.
 
-        ``resume_from`` continues a truncated exploration: pass a
+        ``resume_from`` continues a truncated exploration from a
         :class:`~repro.cache.checkpoint.SolverCheckpoint` (or its dict
-        / a path to its JSON) produced by
-        :meth:`SolverResult.checkpoint`.  Every carried trace is
-        replayed as a witness path through the live description (so
-        checkpoints stay pure JSON and corrupted ones are caught, and
-        the carried ``f(u)`` values are recomputed), then the BFS is
-        re-seeded from the unvisited nodes at their recorded depths.
-        Invariant: truncate-then-resume is digest-equal to the
+        / a path to its JSON) made by :meth:`SolverResult.checkpoint`.
+        Every carried trace is replayed as a witness path through the
+        live description (checkpoints stay pure JSON, corrupt ones are
+        caught), then the frontier is re-seeded from the unvisited
+        nodes.  Invariant: truncate-then-resume is digest-equal to the
         straight run.
 
         A candidate generator that raises aborts the search with a
         :class:`CandidateError` naming the trace it choked on.
 
-        With a ``cache`` store attached (and no ``resume_from``), the
-        exploration first consults the persistent result cache and
-        returns the rebuilt result on a hit; completed (and
-        deterministically node-budget-truncated) results are stored
-        back.  Wall-clock-truncated results are never cached — where
-        the clock fires is not a function of the inputs.
+        With a ``cache`` store attached (and no ``resume_from``), a hit
+        in the persistent result cache is returned rebuilt; completed
+        and node-budget-truncated results are stored back.
+        Wall-clock-truncated results never are — where the clock fires
+        is not a function of the inputs.  With a tracer attached the
+        run emits ``solver.*`` spans and events (per-level spans on
+        breadth-first runs) and fills ``result.metrics`` and
+        ``result.profile``.
 
-        With a tracer attached the exploration additionally emits
-        ``solver.*`` spans/events (per-level spans, prune / accept /
-        dead-end / truncate events, ``cache.hit``/``cache.miss``) and
-        fills ``result.metrics``.
-
-        Hot-path discipline: per node ``u`` the right side ``g(u)`` is
-        evaluated exactly once (shared between the limit condition and
-        every candidate's admissibility test), the left side ``f(u)``
-        is carried over from the parent's admissibility scan (each node
-        was once a candidate), and the limit condition is checked
-        exactly once.  The frontier-extendability probe at the depth
-        bound short-circuits at the first admissible candidate instead
-        of re-running the full scan.
-
-        When the description and candidate generator lie in the
-        compilable finite fragment (see :mod:`repro.core.compiled`),
-        the same BFS runs over interned channels/messages and flat
-        packed traces with batched per-level ``g`` evaluation — an
-        order of magnitude faster, and bit-identical at this API
-        boundary: results, digests, checkpoints and cache payloads
-        match the reference path exactly (pinned by
-        ``tests/core/test_compiled_solver.py``).  The ``compiled``
-        constructor flag selects the engine explicitly.
+        Hot-path discipline: per node ``u``, ``g(u)`` is evaluated
+        exactly once (shared by the limit condition and every
+        candidate's admissibility test), ``f(u)`` is carried over from
+        the parent's scan, and the limit condition is checked exactly
+        once; the extendability probe at the depth bound stops at the
+        first admissible candidate.  In the compilable finite fragment
+        (see :mod:`repro.core.compiled`) the same loop runs over
+        packed traces, an order of magnitude faster and bit-identical
+        at this API boundary; the ``compiled`` flag picks the engine.
         """
         deadline = (None if budget_seconds is None
                     else time.monotonic() + budget_seconds)
@@ -451,13 +448,8 @@ class SmoothSolutionSolver:
                 cache_key = dict(cache_key,
                                  strategy=self.strategy,
                                  heuristic=self.heuristic)
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                hit = self.cache.get("solver", cache_key)
-                profile.add("cache.get",
-                            time.perf_counter_ns() - t0)
-            else:
-                hit = self.cache.get("solver", cache_key)
+            hit = _timed(profile, "cache.get", self.cache.get, "solver",
+                         cache_key)
             if hit is not None:
                 rebuilt = self._result_from_payload(hit)
                 if rebuilt is not None:
@@ -479,17 +471,12 @@ class SmoothSolutionSolver:
             description_name=getattr(self.description, "name", ""))
         compiled = None
         if self.compiled is not False:
+            # imported per call: module-level wrappers see every compile
             from repro.core.compiled import compile_description
 
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                compiled = compile_description(
-                    self.description, self.candidates)
-                profile.add("compile.build",
-                            time.perf_counter_ns() - t0)
-            else:
-                compiled = compile_description(
-                    self.description, self.candidates)
+            compiled = _timed(profile, "compile.build",
+                              compile_description, self.description,
+                              self.candidates)
             if compiled is None and self.compiled is True:
                 raise ValueError(
                     "compiled=True, but this description/candidate "
@@ -497,213 +484,93 @@ class SmoothSolutionSolver:
                     "repro.core.compiled for the preconditions)")
         if self.dedup and compiled is None:
             self._require_dedup_eligible()
-        # strategy routing: plain BFS stays on the pinned legacy
-        # loops; best-first, duplicate-state reduction and query
-        # watches share the ordered frontier (a depth-ranked heap
-        # *is* BFS, FIFO tie-break included); iterative deepening has
-        # its own loop.  All of them work per engine adapter, so both
-        # representations run the same strategy code.
-        deepening = self.strategy == "iterative-deepening"
-        ordered = (self.strategy == "best-first"
-                   or (not deepening
-                       and (self.dedup or _watch is not None)))
-        if compiled is not None:
-            from repro.core.compiled import CompiledEvalError
+        run = _Run(tracer, result, max_depth, max_nodes, budget_seconds,
+                   deadline, _watch, metrics, profile)
+        engine = (_ReferenceEngine(self, metrics, profile)
+                  if compiled is None
+                  else _CompiledEngine(self, compiled, metrics, profile))
+        from repro.core.compiled import CompiledEvalError
 
-            try:
-                if deepening or ordered:
-                    engine = _CompiledEngine(self, compiled, metrics,
-                                             profile)
-                    runner = (self._explore_deepening if deepening
-                              else self._explore_ordered)
-                    return runner(
-                        engine, result, max_depth, max_nodes,
-                        budget_seconds, deadline, resume_from,
-                        metrics, profile, cache_key, _watch)
-                return self._explore_compiled(
-                    compiled, result, max_depth, max_nodes,
-                    budget_seconds, deadline, resume_from, metrics,
-                    profile, cache_key)
-            except CompiledEvalError as exc:
-                # a compiled closure left the finite fragment mid-run
-                # (possible only for exotic ops that slipped past the
-                # compile-time probe): restart cleanly on the
-                # always-correct reference path
-                if tracing:
-                    tracer.event(
-                        "solver.compiled_fallback", category="solver",
-                        track="solver", reason=str(exc))
-                fallback = SmoothSolutionSolver(
-                    self.description, self.candidates,
-                    limit_depth=self.limit_depth, tracer=self.tracer,
-                    cache=self.cache, compiled=False,
-                    strategy=self.strategy, heuristic=self.heuristic,
-                    dedup=False)
-                return fallback.explore(
-                    max_depth, max_nodes=max_nodes,
-                    budget_seconds=budget_seconds,
-                    resume_from=resume_from, _watch=_watch)
-        if deepening or ordered:
-            engine = _ReferenceEngine(self, metrics, profile)
-            runner = (self._explore_deepening if deepening
-                      else self._explore_ordered)
-            return runner(
-                engine, result, max_depth, max_nodes, budget_seconds,
-                deadline, resume_from, metrics, profile, cache_key,
-                _watch)
-        # level entries are ``(u, f(u))``: f was computed when u was a
-        # candidate of its parent (or re-derived from the checkpoint),
-        # so it rides along instead of being recomputed per node
-        pending: dict[int, list[tuple[Trace, object]]] = {}
+        try:
+            return self._run(engine, run, resume_from, cache_key)
+        except CompiledEvalError as exc:
+            # a compiled closure left the finite fragment mid-run
+            # (possible only for exotic ops that slipped past the
+            # compile-time probe): restart cleanly on the
+            # always-correct reference path.  Every description that
+            # compiles is dedup-eligible, so ``dedup`` carries over.
+            if tracing:
+                tracer.event(
+                    "solver.compiled_fallback", category="solver",
+                    track="solver", reason=str(exc))
+            fallback = copy.copy(self)
+            fallback.compiled = False
+            return fallback.explore(max_depth, max_nodes, budget_seconds,
+                                    resume_from, _watch)
+
+    def _run(self, engine, run: "_Run", resume_from: Optional[object],
+             cache_key: Optional[dict]) -> SolverResult:
+        """Seed the frontier, walk it in the configured order, publish
+        the classified nodes, and store cacheable results back."""
+        tracer = self.tracer
+        tracing = tracer.enabled
+        result, max_depth = run.result, run.max_depth
+        metrics, profile = run.metrics, run.profile
+        if self.dedup:
+            engine = _Memo(engine, profile)
+        run.engine = engine
+        meta: dict = {}
         explored = 0
         if resume_from is None:
-            root_trace = Trace.empty()
-            start_depth = 0
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                root_f = self.description.lhs.apply(root_trace)
-                profile.add("lhs.apply.root",
-                            time.perf_counter_ns() - t0)
-            else:
-                root_f = self.description.lhs.apply(root_trace)
-            level: list[tuple[Trace, object]] = [
-                (root_trace, root_f)]
+            seeds = [(0, engine.root())]
         else:
             checkpoint = self._coerce_checkpoint(resume_from)
             self._validate_checkpoint(checkpoint, max_depth)
-            pending = self._resume_seeds(checkpoint, result)
+            unvisited = self._replay_checkpoint(checkpoint, result)
             explored = checkpoint.nodes_explored
-            if not pending:
+            if not unvisited:
                 # checkpoint of a complete exploration: nothing left
                 result.nodes_explored = explored
                 return result
-            start_depth = min(pending)
-            level = pending.pop(start_depth)
-        session_explored = 0
+            seeds = sorted(((u.length(), engine.seed(u))
+                            for u in unvisited), key=itemgetter(0))
+            meta = checkpoint.meta
         with tracer.span("solver.explore", category="solver",
                          track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
+                         max_nodes=run.max_nodes,
                          resumed=resume_from is not None,
                          limit_depth=self.limit_depth) as root:
-            for depth in range(start_depth, max_depth + 1):
-                with tracer.span("solver.level", category="solver",
-                                 track="solver", depth=depth,
-                                 width=len(level)):
-                    if profile is not None:
-                        level_t0 = time.perf_counter_ns()
-                        level_explored = session_explored
-                        level_accepted = len(result.finite_solutions)
-                        level_dead = len(result.dead_ends)
-                    # children of already-explored nodes carried over
-                    # by a checkpoint come first, preserving BFS order
-                    next_level: list[tuple[Trace, object]] = \
-                        pending.pop(depth + 1, [])
-                    for i, (u, fu) in enumerate(level):
-                        reason = ""
-                        if session_explored >= max_nodes:
-                            reason = (f"node budget ({max_nodes}) "
-                                      f"exhausted at depth {depth}")
-                        elif deadline is not None and \
-                                time.monotonic() > deadline:
-                            reason = (f"wall-clock budget "
-                                      f"({budget_seconds}s) exhausted "
-                                      f"at depth {depth}")
-                        if reason:
-                            self._truncate(result, level[i:],
-                                           next_level, reason)
-                            if tracing:
-                                tracer.event(
-                                    "solver.truncate",
-                                    category="solver", track="solver",
-                                    reason=reason,
-                                    parked=len(result.unvisited))
-                            break
-                        explored += 1
-                        session_explored += 1
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gu = self.description.rhs.apply(u)
-                            t1 = time.perf_counter_ns()
-                            limit = self.description.limit_report(
-                                u, self.limit_depth,
-                                lhs_value=fu, rhs_value=gu).holds
-                            t2 = time.perf_counter_ns()
-                            profile.add("rhs.apply", t1 - t0)
-                            profile.add("limit_report", t2 - t1)
-                        else:
-                            gu = self.description.rhs.apply(u)
-                            limit = self.description.limit_report(
-                                u, self.limit_depth,
-                                lhs_value=fu, rhs_value=gu).holds
-                        if depth < max_depth:
-                            kids = self._expand(u, gu, metrics,
-                                                profile)
-                        else:
-                            kids = None
-                        if limit:
-                            result.finite_solutions.append(u)
-                            if tracing:
-                                tracer.event(
-                                    "solver.accept",
-                                    category="solver", track="solver",
-                                    node=repr(u), depth=depth)
-                        if kids is None:
-                            # at the bound: frontier if extendable
-                            if self._extendable(u, gu, profile):
-                                result.frontier.append(u)
-                            elif not limit:
-                                result.dead_ends.append(u)
-                            continue
-                        if not kids and not limit:
-                            result.dead_ends.append(u)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=repr(u), depth=depth)
-                        next_level.extend(kids)
-                    if tracing:
-                        metrics.gauge("solver.level_width").set(
-                            len(next_level))
-                        profile.note(
-                            "expanded",
-                            session_explored - level_explored)
-                        profile.note(
-                            "accepted",
-                            len(result.finite_solutions)
-                            - level_accepted)
-                        profile.note(
-                            "dead_ends",
-                            len(result.dead_ends) - level_dead)
-                        profile.end_level(
-                            depth, len(level),
-                            time.perf_counter_ns() - level_t0)
-                    level = next_level
-                if result.truncated or not level:
-                    break
-            result.nodes_explored = explored
+            if self.strategy == "iterative-deepening":
+                self._deepen(run, seeds, meta)
+            elif self.strategy == "best-first":
+                self._walk(run, _RankedFrontier(
+                    run, seeds, get_heuristic(self.heuristic)))
+            else:
+                self._walk(run, _LevelFrontier(run, seeds))
+            # unpack at the API boundary: the same Event objects in
+            # the same order on either engine, so everything
+            # downstream is bit-identical
+            unpack = engine.unpack
+            result.finite_solutions.extend(map(unpack, run.finite))
+            result.frontier.extend(map(unpack, run.bound))
+            result.dead_ends.extend(map(unpack, run.dead))
+            result.unvisited.extend(map(unpack, run.parked))
+            result.nodes_explored = explored + run.session
             if tracing:
                 metrics.counter("solver.nodes_expanded").inc(
-                    session_explored)
+                    run.session)
                 metrics.counter("solver.finite_solutions").inc(
                     len(result.finite_solutions))
                 metrics.counter("solver.dead_ends").inc(
                     len(result.dead_ends))
                 metrics.gauge("solver.frontier_size").set(
                     len(result.frontier))
-                root.annotate(nodes=explored,
+                root.annotate(nodes=result.nodes_explored,
                               solutions=len(result.finite_solutions),
                               truncated=result.truncated)
         if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
-            else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
+            _timed(profile, "cache.put", self.cache.put, "solver",
+                   cache_key, result.to_payload())
             if tracing:
                 tracer.event(
                     "cache.write", category="cache", track="solver",
@@ -713,6 +580,112 @@ class SmoothSolutionSolver:
             result.metrics = metrics.summary()
             result.profile = profile.summary()
         return result
+
+    def _walk(self, run: "_Run", frontier) -> None:
+        """The exploration loop: the one place nodes are classified.
+
+        The frontier hands out nodes of one depth with their ``g(u)``
+        — a chunk of a BFS level, or one best-first or deepening node.
+        A node is a finite solution iff ``f(u) = g(u)``; below the
+        bound its admissible children (``f(v) ⊑ g(u)``) go back to the
+        frontier and having none makes it a dead end unless it is a
+        solution; at the bound it is a frontier node iff some extension
+        is admissible.  The node budget caps each batch, a wall-clock
+        budget shrinks batches to single nodes; when a guard fires or
+        the query ``watch`` settles, the frontier parks what is left.
+        """
+        engine = run.engine
+        limit_of = engine.limit
+        children_of = engine.children
+        extendable = engine.extendable
+        add_finite = run.finite.append
+        add_bound = run.bound.append
+        add_dead = run.dead.append
+        max_depth = run.max_depth
+        watch = run.watch
+        tracer = self.tracer
+        tracing = tracer.enabled
+
+        def narrate(name: str, node, depth: int) -> None:
+            tracer.event(name, category="solver", track="solver",
+                         node=repr(engine.trace(node)), depth=depth)
+
+        try:
+            while True:
+                depth = frontier.next_depth()
+                if depth is None:
+                    return
+                reason = run.guard(depth)
+                if reason:
+                    frontier.park(reason)
+                    return
+                batch, gs = frontier.take(
+                    1 if run.deadline is not None
+                    else run.max_nodes - run.session)
+                run.session += len(batch)
+                below = depth < max_depth
+                born: list = []
+                for i, node in enumerate(batch):
+                    gu = gs[i]
+                    limit = limit_of(node, gu)
+                    kids = children_of(node, gu) if below else None
+                    if limit:
+                        add_finite(node[0])
+                        if tracing:
+                            narrate("solver.accept", node, depth)
+                    if kids is None:
+                        if extendable(node, gu):
+                            add_bound(node[0])
+                        elif not limit:
+                            add_dead(node[0])
+                    elif kids:
+                        born += kids
+                    elif not limit:
+                        add_dead(node[0])
+                        if tracing:
+                            narrate("solver.dead_end", node, depth)
+                    if limit and watch is not None:
+                        stop = watch(engine.trace(node))
+                        if stop:
+                            run.session -= len(batch) - i - 1
+                            frontier.push(depth, born)
+                            frontier.park(stop, batch[i + 1:])
+                            return
+                frontier.push(depth, born)
+        finally:
+            frontier.close()
+
+    def _deepen(self, run: "_Run", seeds: list, meta: dict) -> None:
+        """Iterative deepening: one bounded walk per iteration ``L``.
+
+        Each walk goes depth-first from the persistent seeds (the
+        root, or a checkpoint's parked nodes) and classifies exactly
+        the nodes at depth ``L``; shallower nodes are re-expanded as
+        uncounted interior rework, so ``nodes_explored`` and completed
+        digests match BFS.  The memory footprint is one DFS stack.
+        A truncation marks the nodes this iteration already classified
+        in ``strategy_meta["tested"]`` (with the iteration number), so
+        a resume — which must itself use iterative deepening — never
+        re-classifies them.
+        """
+        tested = {tuple(map(tuple, key))
+                  for key in meta.get("tested", [])}
+
+        def was_tested(node) -> bool:
+            key = _trace_key(run.engine.trace(node))
+            return tuple(map(tuple, key)) in tested
+
+        marked = [(depth, node, bool(tested) and was_tested(node))
+                  for depth, node in seeds]
+        start = int(meta.get("iteration", seeds[0][0]))
+        for level in range(start, run.max_depth + 1):
+            frontier = _DeepeningFrontier(run, marked, level)
+            self._walk(run, frontier)
+            if run.result.truncated or not (frontier.alive
+                                            or frontier.held):
+                # truncated, or no deeper node exists and no seed
+                # waits for a later iteration: the tree is exhausted
+                break
 
     @staticmethod
     def _cacheable(result: SolverResult) -> bool:
@@ -731,89 +704,6 @@ class SmoothSolutionSolver:
                     and ("wall-clock" in result.truncation_reason
                          or result.truncation_reason.startswith(
                              "query")))
-
-    def _expand(self, u: Trace, gu: object,
-                metrics: Optional[MetricsRegistry],
-                profile: Optional[object] = None
-                ) -> list[tuple[Trace, object]]:
-        """The :meth:`children` computation against a precomputed
-        ``g(u)``, returning ``(v, f(v))`` pairs so each child's left
-        side is evaluated once and reused when the child is explored.
-        With ``metrics`` attached, also narrated: one ``solver.prune``
-        event per inadmissible candidate, branching and prune counts
-        into ``metrics``; with ``profile`` attached the candidate
-        scan's f-evaluation count and wall time are attributed to the
-        ``lhs.apply.expand`` site."""
-        f = self.description.lhs
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        events = self._candidate_events(u, gu)
-        kids: list[tuple[Trace, object]] = []
-        pruned = 0
-        for event in events:
-            v = u.append(event)
-            fv = f.apply(v)
-            if self.description._leq(fv, gu, self.limit_depth):
-                kids.append((v, fv))
-            else:
-                pruned += 1
-                if metrics is not None:
-                    self.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver", node=repr(u),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if metrics is not None:
-            metrics.counter("solver.candidates_proposed").inc(
-                len(events))
-            metrics.counter("solver.candidates_pruned").inc(pruned)
-            metrics.histogram("solver.branching").record(len(kids))
-        if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(events))
-            profile.note("proposed", len(events))
-            profile.note("pruned", pruned)
-        return kids
-
-    def _extendable(self, u: Trace, gu: object,
-                    profile: Optional[object] = None) -> bool:
-        """Does ``u`` have at least one admissible extension?  The
-        frontier probe: short-circuits at the first hit and reuses the
-        caller's ``g(u)``.  With ``profile``, the f evaluations spent
-        probing are attributed to ``lhs.apply.probe``."""
-        f = self.description.lhs
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        tried = 0
-        hit = False
-        for event in self._candidate_events(u, gu):
-            v = u.append(event)
-            tried += 1
-            if self.description._leq(f.apply(v), gu,
-                                     self.limit_depth):
-                hit = True
-                break
-        if profile is not None:
-            profile.add("lhs.apply.probe",
-                        time.perf_counter_ns() - t0, calls=tried)
-        return hit
-
-    @staticmethod
-    def _truncate(result: SolverResult,
-                  unvisited: list[tuple[Trace, object]],
-                  next_level: list[tuple[Trace, object]],
-                  reason: str) -> None:
-        """Mark ``result`` partial; park unexamined nodes.
-
-        Parked nodes go on ``result.unvisited``, never the frontier:
-        the frontier's documented invariant is "still has admissible
-        extensions", which was never checked for these nodes (nor was
-        their limit condition).  Keeping the buckets apart is what
-        makes resume sound — unvisited nodes are re-seeded and fully
-        classified, frontier nodes are carried over as-is.
-        """
-        result.truncated = True
-        result.truncation_reason = reason
-        result.unvisited.extend(u for u, _ in unvisited)
-        result.unvisited.extend(v for v, _ in next_level)
 
     # -- strategy layer -------------------------------------------------------
 
@@ -852,830 +742,6 @@ class SmoothSolutionSolver:
             if leaf:
                 chans.update(leaf)
         return tuple(sorted(chans, key=lambda c: c.name))
-
-    def _finish_run(self, result: SolverResult,
-                    cache_key: Optional[dict],
-                    metrics: Optional[MetricsRegistry],
-                    profile: Optional[object],
-                    tracing: bool) -> SolverResult:
-        """Shared exploration epilogue: cache write-back (when the
-        result is a pure function of the key) and metrics/profile
-        attachment."""
-        if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
-            else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-            if tracing:
-                self.tracer.event(
-                    "cache.write", category="cache", track="solver",
-                    key=self.cache.key_digest(cache_key)[:16])
-        if tracing:
-            profile.to_metrics(metrics)
-            result.metrics = metrics.summary()
-            result.profile = profile.summary()
-        return result
-
-    def _explore_ordered(self, engine, result: SolverResult,
-                         max_depth: int, max_nodes: int,
-                         budget_seconds: Optional[float],
-                         deadline: Optional[float],
-                         resume_from: Optional[object],
-                         metrics: Optional[MetricsRegistry],
-                         profile: Optional[object],
-                         cache_key: Optional[dict],
-                         watch: Optional[Callable[[Trace], str]]
-                         ) -> SolverResult:
-        """Priority-frontier exploration over either engine.
-
-        The frontier is a heap of ``(rank, seq, ...)`` entries: the
-        configured heuristic ranks nodes, the monotone ``seq`` breaks
-        ties FIFO.  With the ``depth`` rank this *is* the reference
-        BFS — same pop order, same truncation parking — which is how
-        plain-BFS runs with duplicate-state reduction or a query watch
-        share this loop without perturbing digests.  ``g(u)`` is
-        evaluated at push time (the rank needs it); every pushed node
-        is popped on a completed run, so the one-``g``-per-node
-        discipline holds wherever the budget does not fire first.
-
-        With ``dedup`` on, ``g``, the limit verdict, the admissible
-        edge scan and the extendability probe are memoized per
-        per-channel projection — nodes are still enumerated and
-        classified one by one (the solution set is untouched), only
-        the evaluation work is shared.
-
-        ``watch`` is the query hook: called with each finite solution
-        as it is classified; a truthy return value early-exits the
-        search with that string as the truncation reason, parking the
-        remaining frontier as ``unvisited`` (the result stays a sound,
-        resumable under-approximation).
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        heuristic = get_heuristic(
-            "depth" if self.strategy == "bfs" else self.heuristic)
-        rank_fn = heuristic.fn
-        needs_values = heuristic.needs_values
-        needs_counts = heuristic.needs_counts
-        plain_depth = heuristic.name == "depth"
-        memo: Optional[dict] = {} if self.dedup else None
-        label = f"strategy.{self.strategy}"
-        explored = 0
-        heap: list = []
-        seq = 0
-
-        def entry_of(node) -> Optional[dict]:
-            if memo is None:
-                return None
-            key = engine.env_key(node)
-            if key is None:
-                return None
-            entry = memo.get(key)
-            if entry is None:
-                entry = {}
-                try:
-                    memo[key] = entry
-                except TypeError:
-                    return None
-                if profile is not None:
-                    profile.bump("dedup.states")
-            return entry
-
-        def g_of(node, entry):
-            if entry is not None and "g" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["g"]
-            gu = engine.g(node)
-            if entry is not None:
-                entry["g"] = gu
-            return gu
-
-        def edges_of(node, fu, gu, entry):
-            if entry is not None and "edges" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["edges"]
-            edges = engine.edges(node, fu, gu)
-            if entry is not None:
-                entry["edges"] = edges
-            return edges
-
-        def limit_of(node, fu, gu, entry):
-            if entry is not None and "limit" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["limit"]
-            limit = engine.limit(node, fu, gu)
-            if entry is not None:
-                entry["limit"] = limit
-            return limit
-
-        def ext_of(node, fu, gu, entry):
-            if entry is not None and "ext" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["ext"]
-            ext = engine.extendable(node, fu, gu)
-            if entry is not None:
-                entry["ext"] = ext
-            return ext
-
-        def push(node, fu, depth):
-            nonlocal seq
-            entry = entry_of(node)
-            gu = g_of(node, entry)
-            if plain_depth:
-                rank = depth
-            else:
-                f_lens = engine.f_lens(fu) if needs_values else ()
-                g_lens = engine.g_lens(gu) if needs_values else ()
-                counts = engine.counts(node) if needs_counts else ()
-                rank = rank_fn(depth, f_lens, g_lens, counts)
-            heapq.heappush(heap, (rank, seq, depth, node, fu, gu))
-            seq += 1
-            if profile is not None:
-                profile.bump(label + ".pushed")
-
-        def park(reason: str) -> None:
-            result.truncated = True
-            result.truncation_reason = reason
-            while heap:
-                _r, _s, _d, node, _fu, _gu = heapq.heappop(heap)
-                result.unvisited.append(engine.trace(node))
-            if tracing:
-                tracer.event(
-                    "solver.truncate", category="solver",
-                    track="solver", reason=reason,
-                    parked=len(result.unvisited))
-
-        if resume_from is None:
-            node, fu = engine.root()
-            push(node, fu, 0)
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            seeds = engine.seeds(checkpoint, result)
-            explored = checkpoint.nodes_explored
-            if not seeds:
-                result.nodes_explored = explored
-                return result
-            for depth, node, fu in seeds:
-                push(node, fu, depth)
-        session = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            while heap:
-                reason = ""
-                if session >= max_nodes:
-                    reason = (f"node budget ({max_nodes}) "
-                              f"exhausted at depth {heap[0][2]}")
-                elif deadline is not None and \
-                        time.monotonic() > deadline:
-                    reason = (f"wall-clock budget "
-                              f"({budget_seconds}s) exhausted "
-                              f"at depth {heap[0][2]}")
-                if reason:
-                    park(reason)
-                    break
-                _rank, _s, depth, node, fu, gu = heapq.heappop(heap)
-                explored += 1
-                session += 1
-                if profile is not None:
-                    profile.bump(label + ".popped")
-                entry = entry_of(node)
-                limit = limit_of(node, fu, gu, entry)
-                trace = engine.trace(node)
-                if depth < max_depth:
-                    kids = [(engine.child(node, edge), fv)
-                            for edge, fv in
-                            edges_of(node, fu, gu, entry)]
-                else:
-                    kids = None
-                if limit:
-                    result.finite_solutions.append(trace)
-                    if tracing:
-                        tracer.event(
-                            "solver.accept", category="solver",
-                            track="solver", node=repr(trace),
-                            depth=depth)
-                if kids is None:
-                    # at the bound: frontier if extendable
-                    if ext_of(node, fu, gu, entry):
-                        result.frontier.append(trace)
-                    elif not limit:
-                        result.dead_ends.append(trace)
-                else:
-                    if not kids and not limit:
-                        result.dead_ends.append(trace)
-                        if tracing:
-                            tracer.event(
-                                "solver.dead_end", category="solver",
-                                track="solver", node=repr(trace),
-                                depth=depth)
-                    for cnode, fv in kids:
-                        push(cnode, fv, depth + 1)
-                if limit and watch is not None:
-                    stop = watch(trace)
-                    if stop:
-                        park(stop)
-                        break
-            result.nodes_explored = explored
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(session)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        return self._finish_run(result, cache_key, metrics, profile,
-                                tracing)
-
-    def _explore_deepening(self, engine, result: SolverResult,
-                           max_depth: int, max_nodes: int,
-                           budget_seconds: Optional[float],
-                           deadline: Optional[float],
-                           resume_from: Optional[object],
-                           metrics: Optional[MetricsRegistry],
-                           profile: Optional[object],
-                           cache_key: Optional[dict],
-                           watch: Optional[Callable[[Trace], str]]
-                           ) -> SolverResult:
-        """Iterative deepening over either engine.
-
-        Iteration ``L`` walks depth-first from the persistent seeds
-        (the root, or a checkpoint's parked nodes) and *goal-tests* —
-        evaluates ``g``, checks the limit condition, classifies,
-        counts — exactly the nodes at depth ``L``; shallower nodes are
-        re-expanded as interior rework (uncounted, so
-        ``nodes_explored`` equals the BFS count and completed-run
-        digests match BFS exactly).  The memory footprint is one DFS
-        stack instead of a whole BFS level.
-
-        A budget truncation parks the DFS residue plus this
-        iteration's already-tested still-extendable nodes; the latter
-        are marked in ``strategy_meta["tested"]`` (with the iteration
-        number) so a resume — which must itself use
-        iterative-deepening, enforced at checkpoint validation —
-        treats them as interior-only and never re-classifies them.
-        Checkpoints parked by BFS/best-first carry only untested
-        nodes, so this loop resumes them from their shallowest depth.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        memo: Optional[dict] = {} if self.dedup else None
-        explored = 0
-
-        def entry_of(node) -> Optional[dict]:
-            if memo is None:
-                return None
-            key = engine.env_key(node)
-            if key is None:
-                return None
-            entry = memo.get(key)
-            if entry is None:
-                entry = {}
-                try:
-                    memo[key] = entry
-                except TypeError:
-                    return None
-                if profile is not None:
-                    profile.bump("dedup.states")
-            return entry
-
-        def g_of(node, entry):
-            if entry is not None and "g" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["g"]
-            gu = engine.g(node)
-            if entry is not None:
-                entry["g"] = gu
-            return gu
-
-        def edges_of(node, fu, gu, entry):
-            if entry is not None and "edges" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["edges"]
-            edges = engine.edges(node, fu, gu)
-            if entry is not None:
-                entry["edges"] = edges
-            return edges
-
-        def limit_of(node, fu, gu, entry):
-            if entry is not None and "limit" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["limit"]
-            limit = engine.limit(node, fu, gu)
-            if entry is not None:
-                entry["limit"] = limit
-            return limit
-
-        def ext_of(node, fu, gu, entry):
-            if entry is not None and "ext" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["ext"]
-            ext = engine.extendable(node, fu, gu)
-            if entry is not None:
-                entry["ext"] = ext
-            return ext
-
-        # persistent seeds: (depth, node, fu, tested); each iteration
-        # restarts its DFS from here (classic deepening rework)
-        if resume_from is None:
-            node, fu = engine.root()
-            seeds = [(0, node, fu, False)]
-            start_iteration = 0
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            tested_keys = {
-                tuple(tuple(e) for e in key)
-                for key in checkpoint.meta.get("tested", [])}
-            raw = engine.seeds(checkpoint, result)
-            explored = checkpoint.nodes_explored
-            if not raw:
-                result.nodes_explored = explored
-                return result
-            seeds = []
-            for depth, node, fu in raw:
-                key = tuple(tuple(e) for e in
-                            _trace_key(engine.trace(node)))
-                seeds.append((depth, node, fu, key in tested_keys))
-            start_iteration = int(checkpoint.meta.get(
-                "iteration", min(d for d, _n, _f, _t in seeds)))
-        session = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            for iteration in range(start_iteration, max_depth + 1):
-                goal_tested = 0
-                alive: list = []      # tested this iteration, extendable
-                held: list = []       # seeds sitting this iteration out
-                stack: list = []
-                for sd in seeds:
-                    d, node, fu, tested = sd
-                    if d > iteration or (tested and d == iteration):
-                        held.append(sd)
-                    else:
-                        stack.append((d, node, fu))
-                stack.reverse()
-
-                def park(reason: str) -> None:
-                    result.truncated = True
-                    result.truncation_reason = reason
-                    tested_marks: list = []
-                    for d, node, fu in stack:
-                        result.unvisited.append(engine.trace(node))
-                    for d, node, fu in alive:
-                        trace = engine.trace(node)
-                        result.unvisited.append(trace)
-                        tested_marks.append(_trace_key(trace))
-                    for d, node, fu, tested in held:
-                        trace = engine.trace(node)
-                        result.unvisited.append(trace)
-                        if tested:
-                            tested_marks.append(_trace_key(trace))
-                    result.strategy_meta = {
-                        "strategy": "iterative-deepening",
-                        "iteration": iteration,
-                        "tested": tested_marks,
-                    }
-                    if tracing:
-                        tracer.event(
-                            "solver.truncate", category="solver",
-                            track="solver", reason=reason,
-                            parked=len(result.unvisited))
-
-                truncated = False
-                while stack:
-                    d, node, fu = stack.pop()
-                    entry = entry_of(node)
-                    if d < iteration:
-                        # interior rework: re-derive the children on
-                        # the way down to this iteration's depth
-                        gu = g_of(node, entry)
-                        kids = [(engine.child(node, edge), fv)
-                                for edge, fv in
-                                edges_of(node, fu, gu, entry)]
-                        if profile is not None:
-                            profile.bump(
-                                "strategy.iterative-deepening.rework")
-                        for cnode, fv in reversed(kids):
-                            stack.append((d + 1, cnode, fv))
-                        continue
-                    reason = ""
-                    if session >= max_nodes:
-                        reason = (f"node budget ({max_nodes}) "
-                                  f"exhausted at depth {iteration}")
-                    elif deadline is not None and \
-                            time.monotonic() > deadline:
-                        reason = (f"wall-clock budget "
-                                  f"({budget_seconds}s) exhausted "
-                                  f"at depth {iteration}")
-                    if reason:
-                        stack.append((d, node, fu))
-                        park(reason)
-                        truncated = True
-                        break
-                    explored += 1
-                    session += 1
-                    goal_tested += 1
-                    gu = g_of(node, entry)
-                    limit = limit_of(node, fu, gu, entry)
-                    trace = engine.trace(node)
-                    if limit:
-                        result.finite_solutions.append(trace)
-                        if tracing:
-                            tracer.event(
-                                "solver.accept", category="solver",
-                                track="solver", node=repr(trace),
-                                depth=d)
-                    if iteration < max_depth:
-                        kids = edges_of(node, fu, gu, entry)
-                        if kids:
-                            alive.append((d, node, fu))
-                        elif not limit:
-                            result.dead_ends.append(trace)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=repr(trace), depth=d)
-                    else:
-                        if ext_of(node, fu, gu, entry):
-                            result.frontier.append(trace)
-                        elif not limit:
-                            result.dead_ends.append(trace)
-                    if limit and watch is not None:
-                        stop = watch(trace)
-                        if stop:
-                            park(stop)
-                            truncated = True
-                            break
-                if truncated:
-                    break
-                if not alive and not held:
-                    # no deeper nodes exist and no seed waits for a
-                    # later iteration: the tree is exhausted
-                    break
-            result.nodes_explored = explored
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(session)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        return self._finish_run(result, cache_key, metrics, profile,
-                                tracing)
-
-    # -- compiled engine ------------------------------------------------------
-
-    def _explore_compiled(self, compiled, result: SolverResult,
-                          max_depth: int, max_nodes: int,
-                          budget_seconds: Optional[float],
-                          deadline: Optional[float],
-                          resume_from: Optional[object],
-                          metrics: Optional[MetricsRegistry],
-                          profile: Optional[object],
-                          cache_key: Optional[dict]) -> SolverResult:
-        """The :meth:`explore` BFS over the packed representation.
-
-        Same traversal, same truncation points, same tracer events and
-        profile sites as the reference loop — only the representation
-        differs.  A node is ``(packed, env, f(u), parent g(u), last
-        cid)``: the packed trace, its per-channel environment, the
-        left value carried from the parent's scan, and what is needed
-        to re-evaluate ``g`` incrementally.  The right side is
-        evaluated for a whole level in one batch (chunked to the node
-        budget so truncation points stay deterministic; with a
-        wall-clock deadline the evaluation is per-node, as the
-        reference's per-node clock checks are), components whose read
-        set excludes the appended channel reuse the parent's value,
-        and ``f(v) ⊑ g(u)`` is a compiled prefix test on flat tuples.
-        Packed traces are unpacked only at the API boundary — same
-        event objects in the same BFS order as the reference path, so
-        digests, checkpoints and cache payloads are bit-identical.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        table = compiled.table
-        actions = compiled.actions
-        lhs, rhs, leq = compiled.lhs, compiled.rhs, compiled.leq
-        # loop-invariant lookups hoisted out of the per-node work;
-        # acts carries the raw message so the one-slot environment
-        # surgery below needs no table call per candidate
-        lhs_after = lhs.after
-        rhs_after = rhs.after
-        acts = tuple((pair, pair[0], table.messages[pair[1]], event)
-                     for pair, _cid, event in actions)
-        fin_packed: list[tuple] = []
-        frontier_packed: list[tuple] = []
-        dead_packed: list[tuple] = []
-        parked_packed: list[tuple] = []
-        pending: dict[int, list[tuple]] = {}
-        explored = 0
-        if resume_from is None:
-            start_depth = 0
-            root_env = compiled.root_env
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                root_f = lhs.eval(root_env)
-                profile.add("lhs.apply.root",
-                            time.perf_counter_ns() - t0)
-            else:
-                root_f = lhs.eval(root_env)
-            level: list[tuple] = [((), root_env, root_f, None, -1)]
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            pending = self._resume_seeds_packed(
-                checkpoint, result, compiled)
-            explored = checkpoint.nodes_explored
-            if not pending:
-                result.nodes_explored = explored
-                return result
-            start_depth = min(pending)
-            level = pending.pop(start_depth)
-        session_explored = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            for depth in range(start_depth, max_depth + 1):
-                with tracer.span("solver.level", category="solver",
-                                 track="solver", depth=depth,
-                                 width=len(level)):
-                    if profile is not None:
-                        level_t0 = time.perf_counter_ns()
-                        level_explored = session_explored
-                        level_accepted = len(fin_packed)
-                        level_dead = len(dead_packed)
-                    next_level: list[tuple] = pending.pop(depth + 1, [])
-                    width = len(level)
-                    budget_left = max_nodes - session_explored
-                    n_ready = (width if budget_left >= width
-                               else max(budget_left, 0))
-                    gs = None
-                    if deadline is None and n_ready:
-                        # batched g over the level: one pass instead
-                        # of a per-node call, chunked to the node
-                        # budget so exactly the nodes the reference
-                        # would visit are evaluated
-                        ready = (level if n_ready == width
-                                 else level[:n_ready])
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gs = [rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu)
-                                  for (_p, env, _f, pgu, cid) in ready]
-                            profile.add("rhs.apply",
-                                        time.perf_counter_ns() - t0,
-                                        calls=n_ready)
-                        else:
-                            gs = [rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu)
-                                  for (_p, env, _f, pgu, cid) in ready]
-                    for i in range(width):
-                        reason = ""
-                        if i >= n_ready:
-                            reason = (f"node budget ({max_nodes}) "
-                                      f"exhausted at depth {depth}")
-                        elif deadline is not None and \
-                                time.monotonic() > deadline:
-                            reason = (f"wall-clock budget "
-                                      f"({budget_seconds}s) exhausted "
-                                      f"at depth {depth}")
-                        if reason:
-                            result.truncated = True
-                            result.truncation_reason = reason
-                            parked_packed.extend(
-                                n[0] for n in level[i:])
-                            parked_packed.extend(
-                                n[0] for n in next_level)
-                            if tracing:
-                                tracer.event(
-                                    "solver.truncate",
-                                    category="solver", track="solver",
-                                    reason=reason,
-                                    parked=len(parked_packed))
-                            break
-                        packed, env, fu, pgu, cid = level[i]
-                        explored += 1
-                        session_explored += 1
-                        if gs is not None:
-                            gu = gs[i]
-                        elif profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gu = (rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu))
-                            profile.add("rhs.apply",
-                                        time.perf_counter_ns() - t0)
-                        else:
-                            gu = (rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu))
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            limit = fu == gu
-                            profile.add("limit_report",
-                                        time.perf_counter_ns() - t0)
-                        else:
-                            # the limit condition f(u) = g(u): exact
-                            # equality, because both values are finite
-                            limit = fu == gu
-                        u_repr = (repr(table.unpack(packed))
-                                  if tracing else "")
-                        if depth < max_depth:
-                            t0 = (time.perf_counter_ns()
-                                  if profile is not None else 0)
-                            kids: Optional[list[tuple]] = []
-                            pruned = 0
-                            for pair, acid, msg, event in acts:
-                                env_v = (env[:acid]
-                                         + (env[acid] + (msg,),)
-                                         + env[acid + 1:])
-                                fv = lhs_after[acid](env_v, fu)
-                                if leq(fv, gu):
-                                    kids.append(
-                                        (packed + (pair,), env_v, fv,
-                                         gu, acid))
-                                else:
-                                    pruned += 1
-                                    if metrics is not None:
-                                        tracer.event(
-                                            "solver.prune",
-                                            category="solver",
-                                            track="solver",
-                                            node=u_repr,
-                                            candidate=repr(event),
-                                            reason="f(v) ⋢ g(u)")
-                            if metrics is not None:
-                                metrics.counter(
-                                    "solver.candidates_proposed").inc(
-                                        len(actions))
-                                metrics.counter(
-                                    "solver.candidates_pruned").inc(
-                                        pruned)
-                                metrics.histogram(
-                                    "solver.branching").record(
-                                        len(kids))
-                            if profile is not None:
-                                profile.add(
-                                    "lhs.apply.expand",
-                                    time.perf_counter_ns() - t0,
-                                    calls=len(actions))
-                                profile.note("proposed", len(actions))
-                                profile.note("pruned", pruned)
-                        else:
-                            kids = None
-                        if limit:
-                            fin_packed.append(packed)
-                            if tracing:
-                                tracer.event(
-                                    "solver.accept",
-                                    category="solver", track="solver",
-                                    node=u_repr, depth=depth)
-                        if kids is None:
-                            # at the bound: frontier if extendable
-                            # (short-circuit probe, g(u) reused)
-                            t0 = (time.perf_counter_ns()
-                                  if profile is not None else 0)
-                            tried = 0
-                            hit = False
-                            for pair, acid, msg, _event in acts:
-                                env_v = (env[:acid]
-                                         + (env[acid] + (msg,),)
-                                         + env[acid + 1:])
-                                tried += 1
-                                if leq(lhs_after[acid](env_v, fu), gu):
-                                    hit = True
-                                    break
-                            if profile is not None:
-                                profile.add(
-                                    "lhs.apply.probe",
-                                    time.perf_counter_ns() - t0,
-                                    calls=tried)
-                            if hit:
-                                frontier_packed.append(packed)
-                            elif not limit:
-                                dead_packed.append(packed)
-                            continue
-                        if not kids and not limit:
-                            dead_packed.append(packed)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=u_repr, depth=depth)
-                        next_level.extend(kids)
-                    if tracing:
-                        metrics.gauge("solver.level_width").set(
-                            len(next_level))
-                        profile.note(
-                            "expanded",
-                            session_explored - level_explored)
-                        profile.note(
-                            "accepted", len(fin_packed) - level_accepted)
-                        profile.note(
-                            "dead_ends", len(dead_packed) - level_dead)
-                        profile.end_level(
-                            depth, len(level),
-                            time.perf_counter_ns() - level_t0)
-                    level = next_level
-                if result.truncated or not level:
-                    break
-            result.nodes_explored = explored
-            # unpack at the API boundary: the same Event objects in
-            # the same BFS order the reference path would append, so
-            # everything downstream is bit-identical
-            unpack = table.unpack
-            result.finite_solutions.extend(
-                unpack(p) for p in fin_packed)
-            result.frontier.extend(unpack(p) for p in frontier_packed)
-            result.dead_ends.extend(unpack(p) for p in dead_packed)
-            result.unvisited.extend(unpack(p) for p in parked_packed)
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(
-                    session_explored)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
-            else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-            if tracing:
-                tracer.event(
-                    "cache.write", category="cache", track="solver",
-                    key=self.cache.key_digest(cache_key)[:16])
-        if tracing:
-            profile.to_metrics(metrics)
-            result.metrics = metrics.summary()
-            result.profile = profile.summary()
-        return result
-
-    def _resume_seeds_packed(self, checkpoint, result: SolverResult,
-                             compiled) -> dict[int, list[tuple]]:
-        """Checkpoint resume for the compiled engine.
-
-        Carried traces are replayed exactly as in
-        :meth:`_resume_seeds` — witness-path validation through the
-        live description, on the reference path, so a corrupt
-        checkpoint is caught identically — and the unvisited seeds
-        are then packed, with their ``f`` values computed by the
-        compiled closures.
-        """
-        result.finite_solutions.extend(
-            self._walk_path(key) for key in checkpoint.finite_solutions)
-        result.frontier.extend(
-            self._walk_path(key) for key in checkpoint.frontier)
-        result.dead_ends.extend(
-            self._walk_path(key) for key in checkpoint.dead_ends)
-        table = compiled.table
-        lhs = compiled.lhs
-        seeds: dict[int, list[tuple]] = {}
-        for key in checkpoint.unvisited:
-            u = self._walk_path(key)
-            packed = table.pack(u)
-            env = table.env_of(packed)
-            seeds.setdefault(len(packed), []).append(
-                (packed, env, lhs.eval(env), None, -1))
-        return seeds
 
     # -- checkpoint / resume --------------------------------------------------
 
@@ -1724,32 +790,24 @@ class SmoothSolutionSolver:
                 f"exploration and must be resumed with it (this "
                 f"solver uses strategy {self.strategy!r})")
 
-    def _resume_seeds(self, checkpoint, result: SolverResult
-                      ) -> dict[int, list[tuple[Trace, object]]]:
-        """Rebuild a checkpoint's carried traces into ``result`` and
-        return the BFS seeds.
+    def _replay_checkpoint(self, checkpoint, result: SolverResult
+                           ) -> list[Trace]:
+        """Rebuild a checkpoint's classified traces into ``result``
+        and return its unvisited ones, the seeds of the resumed walk.
 
-        Every trace key is replayed as a witness path (each step must
-        be an admissible extension), so a checkpoint that does not
-        describe this description's §3.3 tree raises
-        :class:`~repro.obs.replay.ReplayDivergence` instead of
-        silently seeding garbage.  For the unvisited seeds the carried
-        ``f(u)`` values are recomputed — the price of keeping
-        checkpoints pure JSON — and the seeds are grouped by depth
-        (= trace length) for re-entry into the level loop.
+        Every trace key is replayed as a witness path on the reference
+        path, whichever engine resumes, so a checkpoint that does not
+        describe this §3.3 tree raises
+        :class:`~repro.obs.replay.ReplayDivergence` instead of seeding
+        garbage.  The engine's ``seed`` then recomputes each seed's
+        ``f(u)`` — the price of keeping checkpoints pure JSON.
         """
+        walk = self._walk_path
         result.finite_solutions.extend(
-            self._walk_path(key) for key in checkpoint.finite_solutions)
-        result.frontier.extend(
-            self._walk_path(key) for key in checkpoint.frontier)
-        result.dead_ends.extend(
-            self._walk_path(key) for key in checkpoint.dead_ends)
-        f = self.description.lhs
-        seeds: dict[int, list[tuple[Trace, object]]] = {}
-        for key in checkpoint.unvisited:
-            u = self._walk_path(key)
-            seeds.setdefault(u.length(), []).append((u, f.apply(u)))
-        return seeds
+            map(walk, checkpoint.finite_solutions))
+        result.frontier.extend(map(walk, checkpoint.frontier))
+        result.dead_ends.extend(map(walk, checkpoint.dead_ends))
+        return [walk(key) for key in checkpoint.unvisited]
 
     def _result_from_payload(self, payload: dict
                              ) -> Optional[SolverResult]:
@@ -1922,19 +980,15 @@ class SmoothSolutionSolver:
                   or getattr(predicate, "__name__", None)
                   or repr(predicate))
         found: list[Trace] = []
+        settles = mode == "exists"
+        stop = ("query: witness found (exists)" if settles
+                else "query: counterexample found (all)")
 
-        if mode == "exists":
-            def watch(trace: Trace) -> str:
-                if predicate(trace):
-                    found.append(trace)
-                    return "query: witness found (exists)"
-                return ""
-        else:
-            def watch(trace: Trace) -> str:
-                if not predicate(trace):
-                    found.append(trace)
-                    return "query: counterexample found (all)"
-                return ""
+        def watch(trace: Trace) -> str:
+            if bool(predicate(trace)) == settles:
+                found.append(trace)
+                return stop
+            return ""
 
         result = self.explore(max_depth, max_nodes=max_nodes,
                               budget_seconds=budget_seconds,
@@ -1944,15 +998,15 @@ class SmoothSolutionSolver:
             # a cache hit (or a checkpoint of a completed run) never
             # ran the watch: settle from the enumerated solutions
             for trace in result.finite_solutions:
-                if predicate(trace) == (mode == "exists"):
+                if bool(predicate(trace)) == settles:
                     witness = trace
                     break
         if witness is not None:
-            holds: Optional[bool] = (mode == "exists")
+            holds: Optional[bool] = settles
         elif result.truncated:
             holds = None
         else:
-            holds = (mode == "all")
+            holds = not settles
         certificate = (self.witness_schedule(witness)
                        if witness is not None else None)
         return QueryResult(
@@ -1965,117 +1019,454 @@ class SmoothSolutionSolver:
         )
 
 
-class _ReferenceEngine:
-    """Strategy-loop adapter over the reference representation.
+@dataclass(slots=True)
+class _Run:
+    """What one exploration call shares between :meth:`_walk
+    <SmoothSolutionSolver._walk>` and its frontier: the budgets, the
+    query watch, and the classified nodes as trace handles
+    (``node[0]``), unpacked only at the API boundary."""
 
-    Nodes are live :class:`Trace` objects; values are whatever the
-    description's sides produce.  All evaluation is attributed to the
-    same profile sites as the legacy loops (``rhs.apply``,
-    ``limit_report``, ``lhs.apply.expand``/``probe``/``root``), so the
-    memo-discipline pins in ``tests/core/test_solver_memo.py`` apply
-    unchanged.
+    tracer: Tracer
+    result: SolverResult
+    max_depth: int
+    max_nodes: int
+    budget_seconds: Optional[float]
+    deadline: Optional[float]
+    watch: Optional[Callable[[Trace], str]]
+    metrics: Optional[MetricsRegistry]
+    profile: Optional[object]
+    engine: object = None  # set (memoized under dedup) by _run
+    session: int = 0  # nodes classified by this call
+    finite: list = field(default_factory=list)
+    bound: list = field(default_factory=list)
+    dead: list = field(default_factory=list)
+    parked: list = field(default_factory=list)
+
+    def guard(self, depth: int) -> str:
+        """Why the next node (at ``depth``) may not be explored; ``""``
+        while both budgets hold."""
+        if self.session >= self.max_nodes:
+            return (f"node budget ({self.max_nodes}) exhausted at "
+                    f"depth {depth}")
+        if self.deadline is not None and \
+                time.monotonic() > self.deadline:
+            return (f"wall-clock budget ({self.budget_seconds}s) "
+                    f"exhausted at depth {depth}")
+        return ""
+
+    def park(self, reason: str, nodes: Iterable,
+             meta: Optional[dict] = None) -> None:
+        """Mark the result partial and park never-classified nodes on
+        ``unvisited`` — never the frontier, whose invariant ("still
+        has admissible extensions") was never checked for them.
+        Keeping the buckets apart is what makes resume sound."""
+        result = self.result
+        result.truncated = True
+        result.truncation_reason = reason
+        self.parked.extend(node[0] for node in nodes)
+        if meta is not None:
+            result.strategy_meta = meta
+        if self.tracer.enabled:
+            self.tracer.event("solver.truncate", category="solver",
+                              track="solver", reason=reason,
+                              parked=len(self.parked))
+
+
+class _Frontier:
+    """A visit order for :meth:`SmoothSolutionSolver._walk`.
+
+    ``next_depth()`` is the depth of the next node to classify, or
+    ``None`` once the frontier is exhausted; ``take(n)`` removes up to
+    ``n`` such nodes and returns them with their ``g`` values;
+    ``push(depth, born)`` receives the children of the nodes just
+    classified at ``depth``; ``park(reason, rest)`` parks what is left
+    plus the taken but unclassified ``rest``; ``close()`` ends a walk.
     """
 
-    __slots__ = ("solver", "metrics", "profile", "names", "_name_set")
+    __slots__ = ("run",)
 
-    def __init__(self, solver: "SmoothSolutionSolver", metrics,
+    def __init__(self, run: _Run) -> None:
+        self.run = run
+
+    def close(self) -> None:
+        pass
+
+
+class _LevelFrontier(_Frontier):
+    """Breadth-first order: a FIFO of whole levels.
+
+    :meth:`take` hands the current level out in chunks (the loop sizes
+    them to the node budget, so truncation points are deterministic)
+    and evaluates ``g`` over each chunk with one ``g_batch`` call.
+    Checkpoint seeds join their depth's level ahead of the nodes
+    derived there.  With a tracer attached every level is bracketed by
+    a ``solver.level`` span and closes one entry of the profile's
+    per-level series.
+    """
+
+    __slots__ = ("pending", "depth", "level", "pos", "next", "span",
+                 "mark")
+
+    def __init__(self, run: _Run, seeds: list) -> None:
+        super().__init__(run)
+        self.pending: dict = {}  # seeds not yet reached, by depth
+        for depth, node in seeds:
+            self.pending.setdefault(depth, []).append(node)
+        self.depth = -1
+        self.level: list = []
+        self.pos = 0
+        self.next: list = []
+        self.span = None
+        self.mark: tuple = ()
+
+    def next_depth(self) -> Optional[int]:
+        if self.pos < len(self.level):
+            return self.depth
+        self.close()
+        pending = self.pending
+        if self.next:
+            self.depth += 1
+            self.level = self.next
+        elif pending:
+            self.depth = min(pending)
+            self.level = pending.pop(self.depth)
+        else:
+            return None
+        self.pos = 0
+        self.next = pending.pop(self.depth + 1, [])
+        run = self.run
+        if run.profile is not None:
+            self.span = run.tracer.span(
+                "solver.level", category="solver", track="solver",
+                depth=self.depth, width=len(self.level))
+            self.span.__enter__()
+            self.mark = (time.perf_counter_ns(), run.session,
+                         len(run.finite), len(run.dead))
+        return self.depth
+
+    def take(self, n: int) -> tuple:
+        level, pos = self.level, self.pos
+        batch = (level if pos == 0 and n >= len(level)
+                 else level[pos:pos + n])
+        self.pos = pos + len(batch)
+        return batch, self.run.engine.g_batch(batch)
+
+    def push(self, depth: int, born: list) -> None:
+        self.next += born
+
+    def park(self, reason: str, rest: Iterable = ()) -> None:
+        pending = self.pending
+        self.run.park(reason, [
+            *rest, *self.level[self.pos:], *self.next,
+            *(node for depth in sorted(pending)
+              for node in pending[depth])])
+
+    def close(self) -> None:
+        if self.span is None:
+            return
+        run, profile = self.run, self.run.profile
+        t0, session, accepted, dead = self.mark
+        profile.note("expanded", run.session - session)
+        profile.note("accepted", len(run.finite) - accepted)
+        profile.note("dead_ends", len(run.dead) - dead)
+        run.metrics.gauge("solver.level_width").set(len(self.next))
+        profile.end_level(self.depth, len(self.level),
+                          time.perf_counter_ns() - t0)
+        self.span.__exit__(None, None, None)
+        self.span = None
+
+
+class _RankedFrontier(_Frontier):
+    """Best-first order: a heap of ``(rank, seq, depth, node, g(u))``.
+
+    The heuristic ranks a node when it is pushed, so ``g`` is
+    evaluated then (over a node's children in one ``g_batch``); the
+    monotone ``seq`` breaks ties FIFO, so under the ``depth`` ranking
+    the pop order is exactly the BFS order.
+    """
+
+    __slots__ = ("heap", "seq", "heuristic")
+
+    def __init__(self, run: _Run, seeds: list, heuristic) -> None:
+        super().__init__(run)
+        self.heap: list = []
+        self.seq = 0
+        self.heuristic = heuristic
+        for depth, node in seeds:
+            self._add(depth, [node])
+
+    def _add(self, depth: int, nodes: list) -> None:
+        engine = self.run.engine
+        heuristic = self.heuristic
+        rank_fn = None if heuristic.name == "depth" else heuristic.fn
+        values, counts = heuristic.needs_values, heuristic.needs_counts
+        for node, gu in zip(nodes, engine.g_batch(nodes)):
+            rank = depth if rank_fn is None else rank_fn(
+                depth,
+                engine.f_lens(node) if values else (),
+                engine.g_lens(gu) if values else (),
+                engine.counts(node) if counts else ())
+            heapq.heappush(self.heap, (rank, self.seq, depth, node, gu))
+            self.seq += 1
+        if self.run.profile is not None:
+            self.run.profile.bump("strategy.best-first.pushed",
+                                  len(nodes))
+
+    def next_depth(self) -> Optional[int]:
+        return self.heap[0][2] if self.heap else None
+
+    def take(self, n: int) -> tuple:
+        _rank, _seq, _depth, node, gu = heapq.heappop(self.heap)
+        if self.run.profile is not None:
+            self.run.profile.bump("strategy.best-first.popped")
+        return [node], [gu]
+
+    def push(self, depth: int, born: list) -> None:
+        if born:
+            self._add(depth + 1, born)
+
+    def park(self, reason: str, rest: Iterable = ()) -> None:
+        nodes = list(rest)
+        while self.heap:
+            nodes.append(heapq.heappop(self.heap)[3])
+        self.run.park(reason, nodes)
+
+
+class _DeepeningFrontier(_Frontier):
+    """One iterative-deepening pass to depth ``level``: a LIFO stack
+    started from the persistent seeds.
+
+    Nodes above ``level`` are re-expanded on the way down (interior
+    rework: ``g`` and children, no classification); only nodes at
+    ``level`` are handed out, and their children are never pushed.
+    ``alive`` collects the handed-out nodes that proved extendable,
+    ``held`` the seeds sitting this pass out.
+    """
+
+    __slots__ = ("level", "stack", "alive", "held", "last")
+
+    def __init__(self, run: _Run, seeds: list, level: int) -> None:
+        super().__init__(run)
+        self.level = level
+        self.alive: list = []
+        self.held = [seed for seed in seeds if seed[0] > level
+                     or (seed[2] and seed[0] == level)]
+        self.stack = [(depth, node) for depth, node, tested
+                      in reversed(seeds) if depth < level
+                      or (depth == level and not tested)]
+        self.last = None
+
+    def next_depth(self) -> Optional[int]:
+        stack, engine = self.stack, self.run.engine
+        while stack:
+            depth, node = stack[-1]
+            if depth == self.level:
+                return depth
+            stack.pop()
+            kids = engine.children(node, engine.g(node))
+            if self.run.profile is not None:
+                self.run.profile.bump(
+                    "strategy.iterative-deepening.rework")
+            stack.extend((depth + 1, kid) for kid in reversed(kids))
+        return None
+
+    def take(self, n: int) -> tuple:
+        _depth, node = self.stack.pop()
+        self.last = node
+        return [node], [self.run.engine.g(node)]
+
+    def push(self, depth: int, born: list) -> None:
+        if born:
+            self.alive.append(self.last)
+
+    def park(self, reason: str, rest: Iterable = ()) -> None:
+        # classified nodes (alive, tested held seeds) are marked so
+        # the resumed pass treats them as interior only
+        trace = self.run.engine.trace
+        tested = [_trace_key(trace(node)) for node in self.alive]
+        tested += [_trace_key(trace(node))
+                   for _depth, node, marked in self.held if marked]
+        self.run.park(reason, [
+            *rest, *(node for _depth, node in self.stack),
+            *self.alive, *(node for _depth, node, _m in self.held)],
+            meta={"strategy": "iterative-deepening",
+                  "iteration": self.level, "tested": tested})
+
+
+class _Memo:
+    """Duplicate-state reduction as a wrapper around either engine.
+
+    ``g``, the limit verdict, the admissible edges and the probe are
+    computed once per per-channel projection (the paper's ``b(t)``,
+    the engine's ``env_key``) and shared by every node with it.  Nodes
+    are still classified one by one, so results are untouched.
+    """
+
+    __slots__ = ("engine", "profile", "memo", "_node", "_entry")
+
+    def __init__(self, engine, profile) -> None:
+        self.engine = engine
+        self.profile = profile
+        self.memo: dict = {}
+        self._node = self._entry = None
+
+    def __getattr__(self, name: str):
+        # everything but the shared evaluations is the engine's own
+        return getattr(self.engine, name)
+
+    def _lookup(self, node) -> Optional[dict]:
+        """The memo entry of ``node``'s projection; ``None`` when it
+        has no hashable key (that node just skips the memo)."""
+        if node is self._node:
+            return self._entry
+        key = self.engine.env_key(node)
+        entry = None
+        if key is not None:
+            entry = self.memo.get(key)
+            if entry is None:
+                entry = self.memo[key] = {}
+                if self.profile is not None:
+                    self.profile.bump("dedup.states")
+        self._node, self._entry = node, entry
+        return entry
+
+    def _shared(self, name: str, compute, node, *args):
+        entry = self._lookup(node)
+        if entry is None:
+            return compute(node, *args)
+        if name not in entry:
+            entry[name] = compute(node, *args)
+        elif self.profile is not None:
+            self.profile.bump("dedup.hits")
+        return entry[name]
+
+    def g(self, node):
+        return self._shared("g", self.engine.g, node)
+
+    def g_batch(self, nodes: list) -> list:
+        return [self.g(node) for node in nodes]
+
+    def limit(self, node, gu) -> bool:
+        return self._shared("limit", self.engine.limit, node, gu)
+
+    def children(self, node, gu) -> list:
+        child = self.engine.child
+        return [child(node, gu, edge) for edge in
+                self._shared("edges", self.engine.edges, node, gu)]
+
+    def extendable(self, node, gu) -> bool:
+        return self._shared("ext", self.engine.extendable, node, gu)
+
+
+class _ReferenceEngine:
+    """Exploration adapter over the reference representation.
+
+    A node is ``(trace, f(trace))``: a live :class:`Trace` and its
+    left value, carried over from the parent's scan.  Evaluation is
+    charged to the profile sites ``rhs.apply``, ``limit_report`` and
+    ``lhs.apply.expand``/``probe``/``root``, the sites the compiled
+    engine reports too.
+    """
+
+    __slots__ = ("solver", "description", "metrics", "profile", "names",
+                 "_name_set")
+
+    def __init__(self, solver: SmoothSolutionSolver, metrics,
                  profile) -> None:
         self.solver = solver
+        self.description = solver.description
         self.metrics = metrics
         self.profile = profile
         self.names = tuple(c.name
                            for c in solver._channel_universe())
         self._name_set = frozenset(self.names)
 
-    def root(self):
-        solver = self.solver
-        trace = Trace.empty()
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            fu = solver.description.lhs.apply(trace)
-            self.profile.add("lhs.apply.root",
-                             time.perf_counter_ns() - t0)
-        else:
-            fu = solver.description.lhs.apply(trace)
-        return trace, fu
+    def root(self) -> tuple:
+        return _timed(self.profile, "lhs.apply.root", self.seed,
+                      Trace.empty())
 
-    def g(self, node: Trace):
-        solver = self.solver
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            gu = solver.description.rhs.apply(node)
-            self.profile.add("rhs.apply",
-                             time.perf_counter_ns() - t0)
-            return gu
-        return solver.description.rhs.apply(node)
+    def seed(self, trace: Trace) -> tuple:
+        return (trace, self.description.lhs.apply(trace))
 
-    def limit(self, node: Trace, fu, gu) -> bool:
-        solver = self.solver
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            holds = solver.description.limit_report(
-                node, solver.limit_depth,
-                lhs_value=fu, rhs_value=gu).holds
-            self.profile.add("limit_report",
-                             time.perf_counter_ns() - t0)
-            return holds
-        return solver.description.limit_report(
-            node, solver.limit_depth,
-            lhs_value=fu, rhs_value=gu).holds
+    def g(self, node: tuple):
+        return _timed(self.profile, "rhs.apply",
+                      self.description.rhs.apply, node[0])
 
-    def edges(self, node: Trace, fu, gu) -> list:
+    def g_batch(self, nodes: list) -> list:
+        return [self.g(node) for node in nodes]
+
+    def limit(self, node: tuple, gu) -> bool:
+        return _timed(self.profile, "limit_report",
+                      self.description.limit_report, node[0],
+                      self.solver.limit_depth, lhs_value=node[1],
+                      rhs_value=gu).holds
+
+    def edges(self, node: tuple, gu) -> list:
         """The admissible extensions as ``(event, f(v))`` pairs —
         node-independent given the per-channel projection, which is
         what makes them memoizable under dedup."""
         solver = self.solver
-        f = solver.description.lhs
+        description = self.description
+        f = description.lhs
+        u = node[0]
         profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        events = solver._candidate_events(node, gu)
+        t0 = time.perf_counter_ns() if profile is not None else 0
+        events = solver._candidate_events(u, gu)
         out: list = []
-        pruned = 0
         for event in events:
-            v = node.append(event)
-            fv = f.apply(v)
-            if solver.description._leq(fv, gu, solver.limit_depth):
+            fv = f.apply(u.append(event))
+            if description._leq(fv, gu, solver.limit_depth):
                 out.append((event, fv))
-            else:
-                pruned += 1
-                if self.metrics is not None:
-                    solver.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver", node=repr(node),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if self.metrics is not None:
-            self.metrics.counter(
-                "solver.candidates_proposed").inc(len(events))
-            self.metrics.counter(
-                "solver.candidates_pruned").inc(pruned)
-            self.metrics.histogram(
-                "solver.branching").record(len(out))
-        if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(events))
-            profile.note("proposed", len(events))
-            profile.note("pruned", pruned)
+            elif self.metrics is not None:
+                solver.tracer.event(
+                    "solver.prune", category="solver",
+                    track="solver", node=repr(u),
+                    candidate=repr(event), reason="f(v) ⋢ g(u)")
+        _narrate_scan(self, t0, len(events), len(out))
         return out
 
-    def child(self, node: Trace, edge) -> Trace:
-        return node.append(edge)
+    @staticmethod
+    def child(node: tuple, gu, edge: tuple) -> tuple:
+        event, fv = edge
+        return (node[0].append(event), fv)
 
-    def extendable(self, node: Trace, fu, gu) -> bool:
-        return self.solver._extendable(node, gu, self.profile)
+    def children(self, node: tuple, gu) -> list:
+        return [self.child(node, gu, e) for e in self.edges(node, gu)]
 
-    def trace(self, node: Trace) -> Trace:
-        return node
+    def extendable(self, node: tuple, gu) -> bool:
+        """The frontier probe: stops at the first admissible hit."""
+        solver = self.solver
+        f = self.description.lhs
+        u = node[0]
+        profile = self.profile
+        t0 = time.perf_counter_ns() if profile is not None else 0
+        tried = 0
+        hit = False
+        for event in solver._candidate_events(u, gu):
+            tried += 1
+            if self.description._leq(f.apply(u.append(event)), gu,
+                                     solver.limit_depth):
+                hit = True
+                break
+        if profile is not None:
+            profile.add("lhs.apply.probe",
+                        time.perf_counter_ns() - t0, calls=tried)
+        return hit
 
-    def env_key(self, node: Trace):
+    @staticmethod
+    def unpack(trace: Trace) -> Trace:
+        return trace
+
+    @staticmethod
+    def trace(node: tuple) -> Trace:
+        return node[0]
+
+    def env_key(self, node: tuple):
         """The per-channel projection of the trace — the paper's
         ``b(t)`` — as a hashable key; ``None`` when some message is
-        unhashable (that node just skips the memo)."""
+        unhashable."""
         per: dict = {}
-        for e in node:
+        for e in node[0]:
             per.setdefault(e.channel.name, []).append(e.message)
         extra = sorted(n for n in per if n not in self._name_set)
         key = (tuple(tuple(per.get(n, ())) for n in self.names)
@@ -2086,144 +1477,132 @@ class _ReferenceEngine:
             return None
         return key
 
-    def f_lens(self, value) -> tuple:
+    @staticmethod
+    def f_lens(node: tuple) -> tuple:
+        return component_lengths(node[1])
+
+    @staticmethod
+    def g_lens(value) -> tuple:
         return component_lengths(value)
 
-    def g_lens(self, value) -> tuple:
-        return component_lengths(value)
-
-    def counts(self, node: Trace) -> tuple:
+    def counts(self, node: tuple) -> tuple:
         per = {n: 0 for n in self.names}
-        for e in node:
+        for e in node[0]:
             per[e.channel.name] = per.get(e.channel.name, 0) + 1
         return tuple(per[n] for n in sorted(per))
 
-    def seeds(self, checkpoint, result: SolverResult) -> list:
-        pending = self.solver._resume_seeds(checkpoint, result)
-        out = []
-        for depth in sorted(pending):
-            for u, fu in pending[depth]:
-                out.append((depth, u, fu))
-        return out
-
 
 class _CompiledEngine:
-    """Strategy-loop adapter over the packed representation.
+    """Exploration adapter over the packed representation.
 
-    Nodes are ``(packed, env)`` pairs — the interned trace and its
-    per-channel message environment; values are the compiled sides'
-    flat tuples.  The environment *is* the per-channel projection, so
-    it doubles as the dedup key with no extra work.  Feature values
-    (lengths, counts) land on the same integers as the reference
-    engine's, which keeps pop order — and therefore even truncated
-    best-first runs — identical across engines.
+    A node is the flat tuple ``(packed, env, f(u), parent g, cid)``:
+    the interned trace, its per-channel messages (the projection, and
+    so the dedup key), the left value from the parent's scan, and the
+    parent's ``g`` with the channel the last event was appended on —
+    ``g`` is re-evaluated incrementally, components that do not read
+    that channel reuse the parent's value.  ``f(v) ⊑ g(u)`` is a
+    prefix test on flat tuples.  Feature values (lengths, counts) are
+    the reference engine's integers, so even truncated best-first
+    runs pop identically on both engines.
     """
 
-    __slots__ = ("solver", "compiled", "metrics", "profile", "table",
-                 "lhs", "rhs", "leq", "lhs_after", "acts")
+    __slots__ = ("solver", "metrics", "profile", "table", "lhs", "rhs",
+                 "leq", "acts", "unpack")
 
-    def __init__(self, solver: "SmoothSolutionSolver", compiled,
+    def __init__(self, solver: SmoothSolutionSolver, compiled,
                  metrics, profile) -> None:
         self.solver = solver
-        self.compiled = compiled
         self.metrics = metrics
         self.profile = profile
         self.table = compiled.table
         self.lhs = compiled.lhs
         self.rhs = compiled.rhs
         self.leq = compiled.leq
-        self.lhs_after = compiled.lhs.after
+        # acts carries the raw message so the one-slot environment
+        # surgery in the scans needs no table call per candidate
         self.acts = tuple(
             (pair, pair[0], self.table.messages[pair[1]], event)
             for pair, _cid, event in compiled.actions)
+        self.unpack = self.table.unpack
 
-    def root(self):
-        env = self.compiled.root_env
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            fu = self.lhs.eval(env)
-            self.profile.add("lhs.apply.root",
-                             time.perf_counter_ns() - t0)
-        else:
-            fu = self.lhs.eval(env)
-        return ((), env), fu
+    def root(self) -> tuple:
+        env = self.table.empty_env
+        fu = _timed(self.profile, "lhs.apply.root", self.lhs.eval, env)
+        return ((), env, fu, None, -1)
 
-    def g(self, node):
-        env = node[1]
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            gu = self.rhs.eval(env)
-            self.profile.add("rhs.apply",
-                             time.perf_counter_ns() - t0)
-            return gu
-        return self.rhs.eval(env)
+    def seed(self, trace: Trace) -> tuple:
+        packed = self.table.pack(trace)
+        env = self.table.env_of(packed)
+        return (packed, env, self.lhs.eval(env), None, -1)
 
-    def limit(self, node, fu, gu) -> bool:
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            holds = fu == gu
-            self.profile.add("limit_report",
-                             time.perf_counter_ns() - t0)
-            return holds
-        return fu == gu
+    def g(self, node: tuple):
+        return self.g_batch((node,))[0]
 
-    def edges(self, node, fu, gu) -> list:
-        packed, env = node
+    def g_batch(self, nodes) -> list:
+        rhs_eval = self.rhs.eval
+        after = self.rhs.after
         profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        out: list = []
-        pruned = 0
-        leq = self.leq
-        lhs_after = self.lhs_after
-        for pair, acid, msg, event in self.acts:
-            env_v = (env[:acid] + (env[acid] + (msg,),)
-                     + env[acid + 1:])
-            fv = lhs_after[acid](env_v, fu)
-            if leq(fv, gu):
-                out.append(((pair, acid, msg), fv))
-            else:
-                pruned += 1
-                if self.metrics is not None:
-                    self.solver.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver",
-                        node=repr(self.table.unpack(packed)),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if self.metrics is not None:
-            self.metrics.counter(
-                "solver.candidates_proposed").inc(len(self.acts))
-            self.metrics.counter(
-                "solver.candidates_pruned").inc(pruned)
-            self.metrics.histogram(
-                "solver.branching").record(len(out))
+        t0 = time.perf_counter_ns() if profile is not None else 0
+        gs = [rhs_eval(env) if pgu is None else after[cid](env, pgu)
+              for _packed, env, _fu, pgu, cid in nodes]
         if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(self.acts))
-            profile.note("proposed", len(self.acts))
-            profile.note("pruned", pruned)
-        return out
+            profile.add("rhs.apply", time.perf_counter_ns() - t0,
+                        calls=len(gs))
+        return gs
 
-    def child(self, node, edge):
-        packed, env = node
-        pair, acid, msg = edge
-        env_v = (env[:acid] + (env[acid] + (msg,),)
-                 + env[acid + 1:])
-        return (packed + (pair,), env_v)
+    def limit(self, node: tuple, gu) -> bool:
+        # the limit condition f(u) = g(u): exact equality, because
+        # both values are finite
+        if self.profile is None:
+            return node[2] == gu
+        return _timed(self.profile, "limit_report", eq, node[2], gu)
 
-    def extendable(self, node, fu, gu) -> bool:
-        _packed, env = node
+    def children(self, node: tuple, gu) -> list:
+        packed, env, fu, _pgu, _cid = node
         profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
+        metrics = self.metrics
+        t0 = time.perf_counter_ns() if profile is not None else 0
+        leq = self.leq
+        lhs_after = self.lhs.after
+        kids: list = []
+        for pair, cid, msg, event in self.acts:
+            env_v = env[:cid] + (env[cid] + (msg,),) + env[cid + 1:]
+            fv = lhs_after[cid](env_v, fu)
+            if leq(fv, gu):
+                kids.append((packed + (pair,), env_v, fv, gu, cid))
+            elif metrics is not None:
+                self.solver.tracer.event(
+                    "solver.prune", category="solver",
+                    track="solver", node=repr(self.unpack(packed)),
+                    candidate=repr(event), reason="f(v) ⋢ g(u)")
+        if metrics is not None or profile is not None:
+            _narrate_scan(self, t0, len(self.acts), len(kids))
+        return kids
+
+    def edges(self, node: tuple, gu) -> list:
+        """The admissible extensions as ``(pair, env, f(v), cid)`` —
+        node-independent given the environment, which is what makes
+        them memoizable under dedup."""
+        return [(kid[0][-1], kid[1], kid[2], kid[4])
+                for kid in self.children(node, gu)]
+
+    @staticmethod
+    def child(node: tuple, gu, edge: tuple) -> tuple:
+        pair, env_v, fv, cid = edge
+        return (node[0] + (pair,), env_v, fv, gu, cid)
+
+    def extendable(self, node: tuple, gu) -> bool:
+        _packed, env, fu, _pgu, _cid = node
+        profile = self.profile
+        t0 = time.perf_counter_ns() if profile is not None else 0
+        leq = self.leq
+        lhs_after = self.lhs.after
         tried = 0
         hit = False
-        leq = self.leq
-        lhs_after = self.lhs_after
-        for _pair, acid, msg, _event in self.acts:
-            env_v = (env[:acid] + (env[acid] + (msg,),)
-                     + env[acid + 1:])
+        for _pair, cid, msg, _event in self.acts:
             tried += 1
-            if leq(lhs_after[acid](env_v, fu), gu):
+            env_v = env[:cid] + (env[cid] + (msg,),) + env[cid + 1:]
+            if leq(lhs_after[cid](env_v, fu), gu):
                 hit = True
                 break
         if profile is not None:
@@ -2231,33 +1610,50 @@ class _CompiledEngine:
                         time.perf_counter_ns() - t0, calls=tried)
         return hit
 
-    def trace(self, node) -> Trace:
-        return self.table.unpack(node[0])
+    def trace(self, node: tuple) -> Trace:
+        return self.unpack(node[0])
 
-    def env_key(self, node):
+    @staticmethod
+    def env_key(node: tuple):
         return node[1]
 
-    def f_lens(self, value) -> tuple:
-        if self.lhs.is_product:
-            return tuple(len(c) for c in value)
-        return (len(value),)
+    def f_lens(self, node: tuple) -> tuple:
+        fu = node[2]
+        return tuple(map(len, fu)) if self.lhs.is_product else (len(fu),)
 
-    def g_lens(self, value) -> tuple:
-        if self.rhs.is_product:
-            return tuple(len(c) for c in value)
-        return (len(value),)
+    def g_lens(self, gu) -> tuple:
+        return tuple(map(len, gu)) if self.rhs.is_product else (len(gu),)
 
-    def counts(self, node) -> tuple:
+    @staticmethod
+    def counts(node: tuple) -> tuple:
         return tuple(len(msgs) for msgs in node[1])
 
-    def seeds(self, checkpoint, result: SolverResult) -> list:
-        pending = self.solver._resume_seeds_packed(
-            checkpoint, result, self.compiled)
-        out = []
-        for depth in sorted(pending):
-            for packed, env, fu, _pgu, _cid in pending[depth]:
-                out.append((depth, (packed, env), fu))
-        return out
+
+def _timed(profile, site: str, fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, charged to ``site`` when profiling."""
+    if profile is None:
+        return fn(*args, **kwargs)
+    t0 = time.perf_counter_ns()
+    value = fn(*args, **kwargs)
+    profile.add(site, time.perf_counter_ns() - t0)
+    return value
+
+
+def _narrate_scan(engine, t0: int, proposed: int, kept: int) -> None:
+    """Charge one candidate scan to the ``lhs.apply.expand`` site and
+    the branching/prune metrics (each side only when attached)."""
+    profile = engine.profile
+    if profile is not None:
+        profile.add("lhs.apply.expand", time.perf_counter_ns() - t0,
+                    calls=proposed)
+        profile.note("proposed", proposed)
+        profile.note("pruned", proposed - kept)
+    metrics = engine.metrics
+    if metrics is not None:
+        metrics.counter("solver.candidates_proposed").inc(proposed)
+        metrics.counter("solver.candidates_pruned").inc(
+            proposed - kept)
+        metrics.histogram("solver.branching").record(kept)
 
 
 def solve(description: Description, channels: Iterable[Channel],

@@ -1,4 +1,4 @@
-"""The compiled engine is bit-identical to the reference loop.
+"""The compiled engine is bit-identical to the reference engine.
 
 The tentpole claim of :mod:`repro.core.compiled`: interning, packed
 traces and batched frontier evaluation change *where the time goes*,
@@ -210,3 +210,62 @@ class TestInternTableBoundary:
 
         tab = InternTable([Event(B, 0)])
         assert tab.unpack(()) is Trace.empty()
+
+
+def _lazy_beyond_one(s):
+    """The identity on sequences, but lazy once two or more items are
+    in: finite on every trace the compile-time probe looks at (at most
+    one event), so the description compiles, and a compiled closure
+    meeting it deeper raises ``CompiledEvalError`` mid-run."""
+    from repro.seq.lazy import LazySeq
+
+    n = s.known_length()
+    if n is not None and n <= 1:
+        return s
+    return LazySeq(iter(s.take(n).items), name="lazy-copy")
+
+
+def lazy_spec():
+    from repro.functions.base import OpFn
+
+    return Description(OpFn("lazy(d)", _lazy_beyond_one, [chan(D)]),
+                       chan(B), name="lazy")
+
+
+class TestCompiledFallback:
+    """A compiled run that leaves the finite fragment restarts on the
+    reference path with every setting (``dedup`` included) intact."""
+
+    def run(self, compiled, strategy, dedup, via_query, tracer=None):
+        s = SmoothSolutionSolver(lazy_spec(),
+                                 alphabet_candidates([B, D]),
+                                 compiled=compiled, strategy=strategy,
+                                 dedup=dedup, tracer=tracer)
+        if via_query:
+            return s.query("length >= 99", 4).result
+        return s.explore(4)
+
+    def test_the_spec_compiles(self):
+        assert compile_description(
+            lazy_spec(), alphabet_candidates([B, D])) is not None
+
+    @pytest.mark.parametrize("via_query", [False, True],
+                             ids=["explore", "query"])
+    @pytest.mark.parametrize("dedup", [False, True],
+                             ids=["plain", "dedup"])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    def test_fallback_fires_and_matches_reference(self, strategy, dedup,
+                                                  via_query):
+        from repro.obs import RingBufferSink, Tracer
+
+        sink = RingBufferSink(capacity=100_000)
+        got = self.run(True, strategy, dedup, via_query,
+                       tracer=Tracer([sink]))
+        assert [r for r in sink
+                if r.name == "solver.compiled_fallback"]
+        want = self.run(False, strategy, dedup, via_query)
+        assert got.digest() == want.digest()
+        assert got.nodes_explored == want.nodes_explored
+        # the restarted run kept duplicate-state reduction on (or off)
+        assert ("dedup.states" in got.profile["counters"]) == dedup

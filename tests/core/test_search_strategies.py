@@ -157,6 +157,23 @@ class TestDeepeningCheckpointGuard:
             assert resumed.digest() == straight.digest(), strategy
 
 
+class TestCrossStrategyResume:
+    def test_truncated_bfs_resume_keeps_every_seed_depth(self):
+        # a best-first checkpoint parks nodes several levels apart;
+        # a BFS resume truncated at once must park all of them again,
+        # not just the first two levels, or the chain loses nodes
+        straight = dfm_solver().explore(5)
+        part = dfm_solver(strategy="best-first").explore(
+            5, max_nodes=60)
+        assert len({t.length() for t in part.unvisited}) >= 3
+        mid = dfm_solver().explore(5, max_nodes=3,
+                                   resume_from=part.checkpoint())
+        assert mid.truncated
+        final = dfm_solver().explore(5, resume_from=mid.checkpoint())
+        assert final.digest() == straight.digest()
+        assert final.nodes_explored == straight.nodes_explored
+
+
 class TestStableAlphabetOrdering:
     def test_historical_int_order_preserved(self):
         # the (type name, repr) key must not reorder existing

@@ -8,6 +8,8 @@ disabled path is the pre-existing hot path: an untraced ``explore``
 allocates no profile at all.
 """
 
+import pytest
+
 from repro.channels import Channel
 from repro.core import Description, SmoothSolutionSolver, combine
 from repro.functions import chan, even_of, odd_of
@@ -49,6 +51,13 @@ def counting_dfm():
     ], name="dfm")
     return Description(_CountingFn(base.lhs), _CountingFn(base.rhs),
                        name=base.name)
+
+
+def plain_dfm():
+    return combine([
+        Description(even_of(chan(D)), chan(B)),
+        Description(odd_of(chan(D)), chan(C)),
+    ], name="dfm")
 
 
 def traced_explore(depth=4):
@@ -97,6 +106,34 @@ class TestProfileCounters:
         assert sum(lv["width"] for lv in levels) == \
             result.nodes_explored
 
+    @pytest.mark.parametrize("watched", [False, True],
+                             ids=["explore", "query"])
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["reference", "compiled"])
+    @pytest.mark.parametrize("dedup", [False, True],
+                             ids=["plain", "dedup"])
+    def test_per_level_series_on_every_bfs_run(self, dedup, compiled,
+                                               watched):
+        """Duplicate-state reduction, either engine and a query watch
+        all keep the per-level series and the ``solver.level``
+        spans."""
+        ring = RingBufferSink(capacity=100_000)
+        solver = SmoothSolutionSolver.over_channels(
+            plain_dfm(), [B, C, D], tracer=Tracer([ring]),
+            compiled=compiled, dedup=dedup)
+        if watched:
+            # never settles, so the watched run covers the whole tree
+            result = solver.query("length >= 99", 4).result
+        else:
+            result = solver.explore(4)
+        levels = result.profile["levels"]
+        assert [lv["depth"] for lv in levels] == [0, 1, 2, 3, 4]
+        assert sum(lv["width"] for lv in levels) == \
+            result.nodes_explored == 697
+        spans = [r for r in ring.records if r.name == "solver.level"]
+        assert [r.args["width"] for r in spans] == \
+            [lv["width"] for lv in levels]
+
     def test_untraced_explore_allocates_no_profile(self):
         desc = counting_dfm()
         solver = SmoothSolutionSolver.over_channels(desc, [B, C, D])
@@ -110,6 +147,38 @@ class TestProfileCounters:
             desc, [B, C, D], tracer=NULL_TRACER)
         result = solver.explore(4)
         assert result.profile == {}
+
+
+class TestCrossEngineParity:
+    """The deterministic half of a profile — site call counts, strategy
+    and dedup counters, the per-level series — is a property of the
+    exploration, not of the engine that ran it."""
+
+    @staticmethod
+    def deterministic(result):
+        prof = result.profile
+        calls = {site: v["calls"] for site, v in prof["sites"].items()
+                 if site != "compile.build"}  # compiled engine only
+        levels = [{k: v for k, v in lv.items() if k != "ns"}
+                  for lv in prof["levels"]]
+        return calls, prof["counters"], levels
+
+    @pytest.mark.parametrize("dedup", [False, True],
+                             ids=["plain", "dedup"])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    def test_profiles_identical_across_engines(self, strategy, dedup):
+        runs = {}
+        for compiled in (False, True):
+            solver = SmoothSolutionSolver.over_channels(
+                plain_dfm(), [B, C, D],
+                tracer=Tracer([RingBufferSink(capacity=100_000)]),
+                compiled=compiled, strategy=strategy, dedup=dedup)
+            runs[compiled] = solver.explore(4)
+        assert runs[True].digest() == runs[False].digest()
+        assert self.deterministic(runs[True]) == \
+            self.deterministic(runs[False])
+        assert "compile.build" in runs[True].profile["sites"]
 
 
 class TestHotspots:

@@ -1,10 +1,15 @@
 """Compiled descriptions: the `f(v) ⊑ g(u)` hot path as closures.
 
-The §3.3 solver spends essentially all of its time evaluating the two
-sides of a description on finite traces and comparing the results
-under the prefix order.  The reference path does this with linked
-``Seq`` objects and lazy combinators — semantically exactly right and
-needlessly slow for the finite fragment the solver actually visits.
+The §3.3 solver and the §3.2 checker spend essentially all of their
+time evaluating the two sides of a description on finite traces and
+comparing the results under the prefix order.  The reference path
+does this with linked ``Seq`` objects and lazy combinators —
+semantically exactly right and needlessly slow for the finite
+fragment both of them visit.  This module is the one evaluation core
+they share: the solver extends a packed node by one event per
+candidate, and :meth:`CompiledDescription.walk` checks a finite trace
+(``Description.check``/``is_smooth_solution``) in one left-to-right
+pass instead of re-applying both sides to every prefix.
 
 This module compiles a :class:`~repro.core.description.Description`
 into closures over a *packed environment* (per-channel message tuples,
@@ -25,12 +30,12 @@ Compilation is deliberately *partial*: anything outside this fragment
 — subclassed descriptions (whose overridden hooks must keep firing),
 opaque ``LambdaFn``/``ProjectionFn``/``IdentityFn`` sides, lazy
 constants, non-sequence codomains, per-node candidate generators —
-returns ``None`` and the solver stays on the reference path.  A
-compile-time probe additionally evaluates both paths on the empty
-trace and every single-event trace and refuses to compile on any
-disagreement, so a mis-specified ``tuple_face`` degrades to the slow
-path instead of a wrong answer.  Side-by-side property tests pin the
-equivalence beyond the probe.
+returns ``None`` and the solver or checker stays on the reference
+path.  A compile-time probe additionally evaluates both paths on the
+empty trace and every single-event trace and refuses to compile on
+any disagreement, so a mis-specified ``tuple_face`` degrades to the
+slow path instead of a wrong answer.  Side-by-side property tests pin
+the equivalence beyond the probe.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from repro.order.product import ProductCpo
 from repro.seq.finite import FiniteSeq, Seq
 from repro.seq.ordering import SequenceCpo
 from repro.seq.packed import packed_leq
-from repro.traces.intern import InternTable, PackedEnv
+from repro.traces.intern import InternTable, PackedEnv, PackedTrace
 from repro.traces.trace import Trace
 
 
@@ -60,7 +65,8 @@ class CompiledEvalError(Exception):
 
     Raised (rarely) when a generic op wrapper produces a value that
     cannot be flattened back to a tuple.  The solver catches it and
-    restarts the exploration on the reference path.
+    restarts the exploration on the reference path; the checker
+    answers that call on the reference path.
     """
 
 
@@ -202,6 +208,43 @@ class CompiledDescription:
     @staticmethod
     def limit_holds(fu: Any, gu: Any) -> bool:
         return fu == gu
+
+    def walk(self, packed: PackedTrace, depth: int, first: bool = False
+             ) -> Optional[Tuple[List[int], Optional[bool]]]:
+        """The §3.2 check of a finite trace in one left-to-right pass.
+
+        Returns ``(failures, limit)``: ``failures`` lists every index
+        ``i < depth`` with ``f(t↾i+1) ⋢ g(t↾i)`` — the pre-pairs
+        :meth:`Trace.pre_pairs` enumerates — and ``limit`` is
+        ``f(t) = g(t)``.  Each step appends one event to the
+        environment and re-evaluates both sides through the ``after``
+        closures, so the pass is linear in applications.  With
+        ``first`` the pass stops at the first failure and ``limit`` is
+        ``None``.  Returns ``None`` when a closure leaves the finite
+        fragment (:class:`CompiledEvalError`); the caller then uses
+        the reference path.
+        """
+        messages = self.table.messages
+        lhs_after = self.lhs.after
+        rhs_after = self.rhs.after
+        leq = self.leq
+        env = self.root_env
+        failures: List[int] = []
+        try:
+            fu = self.lhs.eval(env)
+            gu = self.rhs.eval(env)
+            for i, (cid, mid) in enumerate(packed):
+                env = env[:cid] + (env[cid] + (messages[mid],),) \
+                    + env[cid + 1:]
+                fu = lhs_after[cid](env, fu)
+                if i < depth and not leq(fu, gu):
+                    failures.append(i)
+                    if first:
+                        return failures, None
+                gu = rhs_after[cid](env, gu)
+        except CompiledEvalError:
+            return None
+        return failures, self.limit_holds(fu, gu)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ composition (§5) and variable-elimination (§7) machinery operate on.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence as PySeq
+from types import SimpleNamespace
+from typing import (
+    Any, Iterable, Iterator, Mapping, Optional, Sequence as PySeq,
+)
 
 from repro.channels.channel import Channel
 from repro.core.solution import (
@@ -33,6 +36,7 @@ from repro.functions.base import (
     are_independent,
 )
 from repro.order.cpo import Cpo
+from repro.seq.finite import FiniteSeq
 from repro.traces.trace import Trace
 
 #: Default prefix depth for bounded checks on lazy traces.
@@ -47,6 +51,15 @@ class Description:
         self.lhs = lhs
         self.rhs = rhs
         self.name = name or f"{lhs.name} ⟵ {rhs.name}"
+        #: the checker's compiled core: ``None`` before the first
+        #: finite check, ``(alphabet, compiled)`` for the description
+        #: compiled against every event checked so far, ``False`` once
+        #: compilation refused; see :meth:`_compiled_walk`
+        self._checker: Any = None
+
+    def __getstate__(self) -> dict:
+        # the compiled closures do not pickle; a copy recompiles
+        return {**self.__dict__, "_checker": None}
 
     @property
     def codomain(self) -> Cpo:
@@ -118,26 +131,53 @@ class Description:
 
         For a finite ``t`` shorter than ``depth`` the check is complete;
         an empty result is then an exact "smoothness holds".
+
+        Two paths, one answer.  When the description compiles against
+        the events of a finite ``t`` (see :meth:`_compiled_walk`),
+        one left-to-right pass of the compiled core finds the failing
+        pre-pairs, and only those are re-evaluated on the reference
+        path to fill in the violation values.  Otherwise every
+        pre-pair is evaluated on the reference path.
         """
-        violations = []
+        walked = self._compiled_walk(t, depth)
+        if walked is None:
+            return list(self._reference_violations(t, depth))
+        return [self._violation(t.take(i), t.take(i + 1))
+                for i in walked[0]]
+
+    def _reference_violations(self, t: Trace, depth: int
+                              ) -> Iterator[SmoothnessViolation]:
         for u, v in t.pre_pairs(depth):
-            fv = self.lhs.apply(v)
-            gu = self.rhs.apply(u)
-            if not self._leq(fv, gu, depth):
-                violations.append(
-                    SmoothnessViolation(u=u, v=v, lhs_of_v=fv,
-                                        rhs_of_u=gu,
-                                        description=self.name)
-                )
-        return violations
+            candidate = self._violation(u, v)
+            if not self._leq(candidate.lhs_of_v, candidate.rhs_of_u,
+                             depth):
+                yield candidate
+
+    def _violation(self, u: Trace, v: Trace) -> SmoothnessViolation:
+        """Both sides at ``u pre v``, as a violation record."""
+        return SmoothnessViolation(u=u, v=v, lhs_of_v=self.lhs.apply(v),
+                                   rhs_of_u=self.rhs.apply(u),
+                                   description=self.name)
 
     def smoothness_holds(self, t: Trace,
                          depth: int = DEFAULT_DEPTH) -> bool:
-        return not self.smoothness_violations(t, depth)
+        """Does ``f(v) ⊑ g(u)`` hold on every checked pre-pair?  Stops
+        at the first failure on either path."""
+        walked = self._compiled_walk(t, depth, first=True)
+        if walked is None:
+            return next(self._reference_violations(t, depth),
+                        None) is None
+        return not walked[0]
 
     def check(self, t: Trace, depth: int = DEFAULT_DEPTH
               ) -> SolutionVerdict:
-        """Full smooth-solution verdict for ``t``."""
+        """Full smooth-solution verdict for ``t``.
+
+        The limit report always comes from the reference path (one
+        application of each side); the violations come from
+        :meth:`smoothness_violations`, on the compiled core when it
+        applies.  Either way the verdict is the same.
+        """
         limit = self.limit_report(t, depth)
         violations = self.smoothness_violations(t, depth)
         exact = limit.exact and (
@@ -154,7 +194,51 @@ class Description:
 
     def is_smooth_solution(self, t: Trace,
                            depth: int = DEFAULT_DEPTH) -> bool:
-        return self.check(t, depth).is_smooth
+        walked = self._compiled_walk(t, depth, first=True)
+        if walked is None:
+            return self.check(t, depth).is_smooth
+        failures, limit = walked
+        return not failures and limit
+
+    def _compiled_walk(self, t: Trace, depth: int, first: bool = False
+                       ) -> Optional[tuple]:
+        """The compiled core's pass over ``t``
+        (:meth:`~repro.core.compiled.CompiledDescription.walk`), or
+        ``None`` when ``t`` takes the reference path.
+
+        The reference path is taken by subclasses (their overrides
+        must keep firing), traces whose events are not a
+        :class:`~repro.seq.finite.FiniteSeq` (the reference code checks
+        a lazy trace to ``depth`` only, even one already read to its
+        end), unhashable messages, a description that does not
+        compile, and a walk that leaves the finite fragment.  The
+        description is compiled through :meth:`compiled_against`, so
+        every compile-time guard and the probe apply, against the
+        events checked so far; the one cached result is reused until a
+        trace brings a new event, and then rebuilt against the union.
+        A refusal is final: the guards other than the probe never look
+        at the events, and the union still holds the event the probe
+        failed on.
+        """
+        if (type(self) is not Description or self._checker is False
+                or type(t.events) is not FiniteSeq):
+            return None
+        try:
+            alphabet = dict.fromkeys(t)
+        except TypeError:
+            return None  # unhashable message: cannot intern
+        cached = self._checker
+        if cached is None or not alphabet.keys() <= cached[0].keys():
+            if cached is not None:
+                alphabet = {**cached[0], **alphabet}
+            compiled = self.compiled_against(
+                SimpleNamespace(constant_events=tuple(alphabet)))
+            if compiled is None:
+                self._checker = False
+                return None
+            cached = self._checker = (alphabet, compiled)
+        compiled = cached[1]
+        return compiled.walk(compiled.table.pack(t), depth, first)
 
     # -- Lemma 2 and Theorem 1 ---------------------------------------------
 
@@ -265,18 +349,20 @@ class DescriptionSystem:
         self.name = name
         if not self.descriptions:
             raise ValueError("a description system needs ≥1 description")
+        # built once, so its compiled checker is reused across checks
+        self._combined = combine(self.descriptions, name=self.name)
 
     def combined(self) -> Description:
         """The single combined description of the whole system."""
-        return combine(self.descriptions, name=self.name)
+        return self._combined
 
     def check(self, t: Trace, depth: int = DEFAULT_DEPTH
               ) -> SolutionVerdict:
-        return self.combined().check(t, depth)
+        return self._combined.check(t, depth)
 
     def is_smooth_solution(self, t: Trace,
                            depth: int = DEFAULT_DEPTH) -> bool:
-        return self.combined().is_smooth_solution(t, depth)
+        return self._combined.is_smooth_solution(t, depth)
 
     def satisfied_by_env(self, env: Mapping[Channel, Any],
                          depth: int = DEFAULT_DEPTH) -> bool:

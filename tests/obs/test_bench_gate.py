@@ -119,6 +119,32 @@ class TestBaseline:
         current = extract_tracked(_core(), ROWS)
         assert baseline_for([], "X|speedup", current, ROWS) is None
 
+    def test_redefined_row_starts_a_fresh_baseline(self, tmp_path):
+        # entries recorded under definition 1 (or before definitions
+        # were recorded) do not feed a definition-2 baseline; the
+        # other rows keep theirs
+        path = tmp_path / "h.jsonl"
+        hist = _history(path, _core(speedup=50.0, overhead=2.0))
+        assert "definitions" not in hist[0]
+        redefined = tuple(
+            TrackedRow("X", "speedup", "higher", rel_tol=0.2,
+                       definition=2) if t.key == "X|speedup" else t
+            for t in ROWS)
+        current = extract_tracked(_core(speedup=12.0), redefined)
+        assert baseline_for(hist, "X|speedup", current,
+                            redefined) is None
+        assert baseline_for(hist, "Y|overhead", current,
+                            redefined) == 2.0
+        entry = append_history(_core(speedup=12.0), path,
+                               tracked=redefined)
+        assert entry["definitions"] == {"X|speedup": 2}
+        hist = load_history(path)
+        assert baseline_for(hist, "X|speedup", current,
+                            redefined) == 12.0
+        assert baseline_for(hist, "X|speedup", current, ROWS) == 50.0
+        assert check(_core(speedup=12.0), hist, redefined).ok
+        assert not check(_core(speedup=12.0), hist, ROWS).ok
+
 
 class TestCheck:
     def test_empty_history_seeds_and_passes(self):
